@@ -20,6 +20,11 @@
 //! SET <key> <len>\n<len bytes>   ->  OK\n
 //! GET <key>\n                    ->  VALUE <len>\n<len bytes>  |  MISS\n
 //! ```
+//!
+//! Bad input never stops the server. As in memcached, a line that is not a
+//! well-formed command gets `ERROR\n` and is dropped; a SET longer than
+//! [`MAX_VALUE`] gets `SERVER_ERROR\n` and its payload is discarded as it
+//! arrives; a partial command left at EOF is dropped with the connection.
 
 use crate::thttpd; // shares the C10K latency/throughput reporting shape
 use std::cell::{Cell, RefCell};
@@ -35,44 +40,76 @@ pub const KV_PORT: u16 = 11211;
 /// Staging slot stride: one response (header + value) per slot.
 const SLOT: u64 = 4096;
 
+/// Staging slots, and so responses per `writev`.
+const SLOTS: usize = 256;
+
 /// Largest value the staging layout accepts.
 pub const MAX_VALUE: usize = 2048;
 
-/// One parsed command.
+/// One parsed command, or refused input (`Error`) with the reply it gets.
 enum Cmd {
     Set { key: String, value: Vec<u8> },
     Get { key: String },
+    Error(&'static [u8]),
 }
 
-/// Pulls complete commands off the front of `acc`; leaves partial input.
-fn drain_commands(acc: &mut Vec<u8>) -> Vec<Cmd> {
+/// One connection's unparsed input.
+#[derive(Default)]
+struct Input {
+    acc: Vec<u8>,
+    /// Payload bytes of a refused SET still to be discarded.
+    discard: usize,
+}
+
+/// Pulls complete commands off the front of `input`; leaves partial input.
+fn drain_commands(input: &mut Input) -> Vec<Cmd> {
+    let acc = &mut input.acc;
     let mut out = Vec::new();
     loop {
+        let skip = input.discard.min(acc.len());
+        acc.drain(..skip);
+        input.discard -= skip;
+        if input.discard > 0 {
+            return out;
+        }
         let Some(nl) = acc.iter().position(|&b| b == b'\n') else {
             return out;
         };
         let line = String::from_utf8_lossy(&acc[..nl]).into_owned();
         let parts: Vec<&str> = line.split_whitespace().collect();
         match parts.as_slice() {
-            ["SET", key, len] => {
-                let len: usize = len.parse().expect("SET length");
-                if acc.len() < nl + 1 + len {
-                    return out; // payload not fully arrived yet
+            ["SET", key, len] => match len.parse::<usize>() {
+                Ok(len) if len > MAX_VALUE => {
+                    acc.drain(..nl + 1);
+                    input.discard = len;
+                    out.push(Cmd::Error(b"SERVER_ERROR\n"));
                 }
-                let value = acc[nl + 1..nl + 1 + len].to_vec();
-                acc.drain(..nl + 1 + len);
-                out.push(Cmd::Set {
-                    key: key.to_string(),
-                    value,
-                });
-            }
+                Ok(len) => {
+                    if acc.len() < nl + 1 + len {
+                        return out; // payload not fully arrived yet
+                    }
+                    let value = acc[nl + 1..nl + 1 + len].to_vec();
+                    acc.drain(..nl + 1 + len);
+                    out.push(Cmd::Set {
+                        key: key.to_string(),
+                        value,
+                    });
+                }
+                Err(_) => {
+                    acc.drain(..nl + 1);
+                    out.push(Cmd::Error(b"ERROR\n"));
+                }
+            },
             ["GET", key] => {
                 acc.drain(..nl + 1);
                 out.push(Cmd::Get {
                     key: key.to_string(),
                 });
             }
-            other => panic!("bad kv command: {other:?}"),
+            _ => {
+                acc.drain(..nl + 1);
+                out.push(Cmd::Error(b"ERROR\n"));
+            }
         }
     }
 }
@@ -87,7 +124,6 @@ struct Store {
 
 impl Store {
     fn set(&mut self, env: &mut UserEnv, key: String, value: &[u8]) {
-        assert!(value.len() <= MAX_VALUE, "value exceeds staging slot");
         if let Some((va, _)) = self.index.remove(&key) {
             self.heap.free(va);
         }
@@ -127,9 +163,9 @@ pub(crate) fn serve_kv(env: &mut UserEnv, listen_fd: i64, lat: &mut Vec<u64>, t0
     let rxbuf = env.mmap_anon(8192);
     let iov_va = env.mmap_anon(4096);
     let scratch = env.mmap_anon(64 * 4096); // pollfd table
-    let staging = env.mmap_anon(256 * SLOT as usize); // response slots, reused per round
+    let staging = env.mmap_anon(SLOTS * SLOT as usize); // response slots, reused per batch
     let mut conns: Vec<i64> = Vec::new();
-    let mut bufs: Vec<Vec<u8>> = Vec::new();
+    let mut bufs: Vec<Input> = Vec::new();
     let mut eof: Vec<bool> = Vec::new();
     let mut served = 0u64;
     loop {
@@ -139,7 +175,7 @@ pub(crate) fn serve_kv(env: &mut UserEnv, listen_fd: i64, lat: &mut Vec<u64>, t0
                 break;
             }
             conns.push(c);
-            bufs.push(Vec::new());
+            bufs.push(Input::default());
             eof.push(false);
         }
         if conns.is_empty() {
@@ -164,41 +200,46 @@ pub(crate) fn serve_kv(env: &mut UserEnv, listen_fd: i64, lat: &mut Vec<u64>, t0
                     eof[i] = true;
                     break;
                 }
-                bufs[i].extend(env.read_mem(rxbuf, r as usize));
+                bufs[i].acc.extend(env.read_mem(rxbuf, r as usize));
                 if (r as usize) < 8192 {
                     break;
                 }
             }
-            let cmds = drain_commands(&mut bufs[i]);
-            if cmds.is_empty() {
-                continue;
-            }
-            let mut iovs: Vec<(u64, usize)> = Vec::with_capacity(cmds.len());
-            for (slot, cmd) in cmds.into_iter().enumerate() {
-                let slot_va = staging + slot as u64 * SLOT;
-                let len = match cmd {
-                    Cmd::Set { key, value } => {
-                        store.set(env, key, &value);
-                        env.write_mem(slot_va, b"OK\n");
-                        3
-                    }
-                    Cmd::Get { key } => store.get_into(env, &key, slot_va),
-                };
-                iovs.push((slot_va, len));
-            }
-            let expect: i64 = iovs.iter().map(|&(_, l)| l as i64).sum();
-            let n = iovs.len() as u64;
-            assert_eq!(env.writev(conns[i], iov_va, &iovs), expect);
-            served += n;
-            let now = env.sys.machine.clock.cycles() - t0;
-            for _ in 0..n {
-                env.sys.machine.metrics.observe("kv.request_cycles", now);
-                lat.push(now);
+            let mut cmds = drain_commands(&mut bufs[i]).into_iter().peekable();
+            while cmds.peek().is_some() {
+                let mut iovs: Vec<(u64, usize)> = Vec::with_capacity(cmds.len().min(SLOTS));
+                for (slot, cmd) in cmds.by_ref().take(SLOTS).enumerate() {
+                    let slot_va = staging + slot as u64 * SLOT;
+                    let len = match cmd {
+                        Cmd::Set { key, value } => {
+                            store.set(env, key, &value);
+                            env.write_mem(slot_va, b"OK\n");
+                            3
+                        }
+                        Cmd::Get { key } => store.get_into(env, &key, slot_va),
+                        Cmd::Error(reply) => {
+                            env.write_mem(slot_va, reply);
+                            reply.len()
+                        }
+                    };
+                    iovs.push((slot_va, len));
+                }
+                let expect: i64 = iovs.iter().map(|&(_, l)| l as i64).sum();
+                let n = iovs.len() as u64;
+                assert_eq!(env.writev(conns[i], iov_va, &iovs), expect);
+                served += n;
+                let now = env.sys.machine.clock.cycles() - t0;
+                for _ in 0..n {
+                    env.sys.machine.metrics.observe("kv.request_cycles", now);
+                    lat.push(now);
+                }
             }
         }
         let mut i = 0;
         while i < conns.len() {
-            if eof[i] && bufs[i].is_empty() {
+            // Complete commands were served above, so what is left at EOF
+            // is a truncated command the client can never finish.
+            if eof[i] {
                 env.close(conns[i]);
                 conns.swap_remove(i);
                 bufs.swap_remove(i);
@@ -284,9 +325,10 @@ pub fn kv_load(sys: &mut System, value_size: usize, conns: u32, pairs: u32) -> K
     sys.run_until_exit(pid);
     let ops = conns as u64 * pairs as u64 * 2;
     assert_eq!(served.get(), ops, "all pipelined commands served");
+    let mut sent = sys.wire_recv_all();
     for (i, flow) in flows.iter().enumerate() {
         assert_eq!(
-            sys.wire_recv(*flow),
+            sent.remove(flow).unwrap_or_default(),
             expected[i],
             "connection {i} response bytes"
         );
@@ -294,7 +336,6 @@ pub fn kv_load(sys: &mut System, value_size: usize, conns: u32, pairs: u32) -> K
 
     let mut lat = lats.borrow().clone();
     lat.sort_unstable();
-    let pct = |p: usize| lat[(lat.len() - 1) * p / 100];
     KvBench {
         conns,
         reqs_per_conn: pairs * 2,
@@ -303,8 +344,8 @@ pub fn kv_load(sys: &mut System, value_size: usize, conns: u32, pairs: u32) -> K
         cpu_cycles: cpu.get(),
         wire_cycles: wire.get(),
         req_per_megacycle: served.get() as f64 / (cpu.get() as f64 / 1e6),
-        p50_cycles: pct(50),
-        p99_cycles: pct(99),
+        p50_cycles: thttpd::percentile(&lat, 50),
+        p99_cycles: thttpd::percentile(&lat, 99),
     }
 }
 
@@ -313,24 +354,86 @@ mod tests {
     use super::*;
     use vg_kernel::{Mode, NetMode};
 
-    #[test]
-    fn sets_and_gets_roundtrip_with_miss() {
+    /// Serves one connection carrying `input` then EOF; returns the bytes
+    /// sent back and the number of commands answered.
+    fn serve_one(input: &[u8]) -> (Vec<u8>, u64) {
         let mut sys = System::boot(Mode::VirtualGhost);
         let flow = sys.wire_connect(KV_PORT).unwrap();
-        sys.wire_send(flow, b"SET a 3\nxyzGET a\nGET nope\n");
+        sys.wire_send(flow, input);
         sys.wire_close(flow);
-        sys.install_app("ghostkv", true, || {
-            Box::new(|env| {
+        let served = Rc::new(Cell::new(0));
+        let s2 = served.clone();
+        sys.install_app("ghostkv", true, move || {
+            let s = s2.clone();
+            Box::new(move |env| {
                 let sock = env.socket();
                 env.bind(sock, KV_PORT);
                 env.listen(sock);
-                serve_kv(env, sock, &mut Vec::new(), 0);
+                s.set(serve_kv(env, sock, &mut Vec::new(), 0));
                 0
             })
         });
         let pid = sys.spawn("ghostkv");
-        sys.run_until_exit(pid);
-        assert_eq!(sys.wire_recv(flow), b"OK\nVALUE 3\nxyzMISS\n".to_vec());
+        assert_eq!(sys.run_until_exit(pid), 0);
+        (sys.wire_recv(flow), served.get())
+    }
+
+    #[test]
+    fn sets_and_gets_roundtrip_with_miss() {
+        let (out, n) = serve_one(b"SET a 3\nxyzGET a\nGET nope\n");
+        assert_eq!(out, b"OK\nVALUE 3\nxyzMISS\n".to_vec());
+        assert_eq!(n, 3);
+    }
+
+    #[test]
+    fn malformed_lines_get_error_and_are_dropped() {
+        let (out, n) = serve_one(b"SET a 1\nxFLUSH\n\nGET\nGET a\n");
+        assert_eq!(out, b"OK\nERROR\nERROR\nERROR\nVALUE 1\nx".to_vec());
+        assert_eq!(n, 5);
+    }
+
+    #[test]
+    fn bad_set_length_gets_error() {
+        let (out, _) = serve_one(b"SET a -3\nSET b lots\nSET c 2\nhiGET c\n");
+        assert_eq!(out, b"ERROR\nERROR\nOK\nVALUE 2\nhi".to_vec());
+    }
+
+    #[test]
+    fn oversized_set_gets_server_error_and_its_payload_is_discarded() {
+        // The payload spans several packets and readv rounds, and looks
+        // like commands; none of it may be parsed.
+        let big = MAX_VALUE + 5000;
+        let mut input = format!("SET big {big}\n").into_bytes();
+        input.extend(b"GET x\n".iter().cycle().take(big));
+        input.extend_from_slice(b"GET big\nSET s 1\nzGET s\n");
+        let (out, n) = serve_one(&input);
+        assert_eq!(out, b"SERVER_ERROR\nMISS\nOK\nVALUE 1\nz".to_vec());
+        assert_eq!(n, 4);
+    }
+
+    #[test]
+    fn truncated_command_at_eof_is_dropped() {
+        let (out, n) = serve_one(b"SET a 1\nxGET a\nSET b 10\nabc");
+        assert_eq!(out, b"OK\nVALUE 1\nx".to_vec());
+        assert_eq!(n, 2);
+        let (out, _) = serve_one(b"GET a");
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn replies_beyond_the_staging_slots_go_out_in_further_batches() {
+        let lines = SLOTS * 2 + 7;
+        let (out, n) = serve_one(&b"?\n".repeat(lines));
+        assert_eq!(out, b"ERROR\n".repeat(lines));
+        assert_eq!(n, lines as u64);
+    }
+
+    #[test]
+    fn empty_burst_reports_zero_percentiles() {
+        let mut sys = System::boot(Mode::VirtualGhost);
+        let b = kv_load(&mut sys, 64, 0, 4);
+        assert_eq!(b.requests, 0);
+        assert_eq!((b.p50_cycles, b.p99_cycles), (0, 0));
     }
 
     #[test]

@@ -222,8 +222,10 @@ pub fn kv_sharded(
     let units = shards as u64 * conns_per_shard as u64 * pairs as u64 * 2;
     let bench = drain(&mut sys, shards, units);
     assert_eq!(served.get(), units, "every pipelined command served");
+    let mut sent = sys.wire_recv_all();
     for (flow, expect) in expected {
-        assert_eq!(sys.wire_recv(flow), expect, "flow {flow} response bytes");
+        let got = sent.remove(&flow).unwrap_or_default();
+        assert_eq!(got, expect, "flow {flow} response bytes");
     }
     bench
 }

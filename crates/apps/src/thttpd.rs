@@ -344,6 +344,15 @@ pub struct C10kBench {
     pub p99_cycles: u64,
 }
 
+/// The `p`th percentile of ascending `sorted` (nearest rank, rounding
+/// down); 0 when there are no samples.
+pub(crate) fn percentile(sorted: &[u64], p: usize) -> u64 {
+    match sorted.len() {
+        0 => 0,
+        n => sorted[(n - 1) * p / 100],
+    }
+}
+
 /// Drives `conns` concurrent connections, each pipelining `reqs_per_conn`
 /// keep-alive requests for a `file_size`-byte document, against the chosen
 /// server architecture. Uses whatever [`NetMode`](vg_kernel::NetMode) is set on `sys` (the
@@ -416,7 +425,6 @@ pub fn c10k(
 
     let mut lat = lats.borrow().clone();
     lat.sort_unstable();
-    let pct = |p: usize| lat[(lat.len() - 1) * p / 100];
     C10kBench {
         conns,
         reqs_per_conn,
@@ -425,8 +433,8 @@ pub fn c10k(
         cpu_cycles: cpu.get(),
         wire_cycles: wire.get(),
         req_per_megacycle: served.get() as f64 / (cpu.get() as f64 / 1e6),
-        p50_cycles: pct(50),
-        p99_cycles: pct(99),
+        p50_cycles: percentile(&lat, 50),
+        p99_cycles: percentile(&lat, 99),
     }
 }
 
@@ -437,19 +445,24 @@ mod c10k_tests {
 
     #[test]
     fn event_loop_and_sync_serve_identical_bytes() {
-        // wire_recv drains, so collect each system's responses exactly once.
+        // c10k drains flow 1 for its spot check; collect flows 2..=16 in
+        // one pass.
         let run = |server: ServerKind, mode: NetMode| {
             let mut sys = System::boot(Mode::VirtualGhost);
             sys.net_mode = mode;
             let b = c10k(&mut sys, 512, 16, 4, server);
             assert_eq!(b.requests, 64);
-            let responses: Vec<Vec<u8>> = (2..16u64).map(|f| sys.wire_recv(f)).collect();
+            let responses = sys.wire_recv_all();
+            assert_eq!(
+                responses.keys().copied().collect::<Vec<_>>(),
+                (2..=16).collect::<Vec<u64>>()
+            );
             (responses, sys.machine.counters.packets)
         };
         // Same server, both data planes: identical wire artifacts.
         let (ring_resp, ring_pkts) = run(ServerKind::EventLoop, NetMode::Ring);
         let (ref_resp, ref_pkts) = run(ServerKind::EventLoop, NetMode::Reference);
-        assert!(ring_resp.iter().all(|r| !r.is_empty()));
+        assert!(ring_resp.values().all(|r| !r.is_empty()));
         assert_eq!(ring_resp, ref_resp);
         assert_eq!(ring_pkts, ref_pkts);
         // Different servers: same bytes served too.

@@ -2,7 +2,8 @@
 //!
 //! The far end of the wire is the benchmark harness (the paper's client
 //! machines were separate hosts on a dedicated gigabit network), which calls
-//! [`System::wire_connect`] / [`System::wire_send`] / [`System::wire_recv`].
+//! [`System::wire_connect`] / [`System::wire_send`] / [`System::wire_recv`]
+//! (or [`System::wire_recv_all`] to collect every flow in one pass).
 //! Kernel-side, data moves through the NIC queues with per-packet protocol
 //! costs and per-byte wire costs, so bulk transfers are wire-limited and
 //! tiny transfers are syscall-limited — the shape behind Figures 2–4.
@@ -10,7 +11,7 @@
 use crate::costs;
 use crate::syscall::EAGAIN;
 use crate::system::{Fd, Pid, System};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use vg_core::{DescRing, RingDesc, RingDir};
 use vg_machine::devices::{Packet, MTU};
 
@@ -184,9 +185,8 @@ impl System {
         }
     }
 
-    fn next_socket_id(&mut self) -> u64 {
-        let id = self.sockets.keys().max().copied().unwrap_or(0) + 1;
-        id
+    fn next_socket_id(&self) -> u64 {
+        self.sockets.last_key_value().map_or(0, |(&id, _)| id) + 1
     }
 
     pub(crate) fn sys_bind(&mut self, pid: Pid, fd: u64, port: u16) -> i64 {
@@ -693,7 +693,9 @@ impl System {
         }
     }
 
-    /// Collects everything the host transmitted on `flow`.
+    /// Collects everything the host transmitted on `flow`, leaving other
+    /// flows' packets on the wire in transmit order. Each call walks the
+    /// whole TX queue; to collect many flows use [`System::wire_recv_all`].
     pub fn wire_recv(&mut self, flow: u64) -> Vec<u8> {
         let mut out = Vec::new();
         let mut keep = Vec::new();
@@ -711,6 +713,18 @@ impl System {
         out
     }
 
+    /// Collects everything the host transmitted, grouped by flow, in one
+    /// pass over the TX queue, which is left empty. Each flow's bytes are
+    /// exactly what [`System::wire_recv`] would return for it; flows that
+    /// sent nothing are absent.
+    pub fn wire_recv_all(&mut self) -> BTreeMap<u64, Vec<u8>> {
+        let mut out: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        for p in self.machine.nic.wire_drain() {
+            out.entry(p.flow).or_default().extend(p.data);
+        }
+        out
+    }
+
     /// Marks `flow` closed from the wire side.
     pub fn wire_close(&mut self, flow: u64) {
         if let Some(fb) = self.net.flows.get_mut(&flow) {
@@ -724,6 +738,93 @@ mod tests {
     use super::*;
     use crate::syscall::O_CREAT;
     use crate::system::System;
+    use crate::UserEnv;
+
+    /// Transmits an interleaved train on flows 1..=4 with packets of varying
+    /// length, so per-flow order and cross-flow order both matter.
+    fn interleaved_tx(sys: &mut System) -> Vec<Packet> {
+        let mut sent = Vec::new();
+        for i in 0..24u64 {
+            let flow = [1, 3, 2, 1, 4, 3][i as usize % 6];
+            let len = 1 + (i as usize * 37) % MTU;
+            let p = Packet {
+                flow,
+                data: (0..len).map(|b| (b as u64 * 7 + i) as u8).collect(),
+            };
+            sys.machine.nic.transmit(p.clone());
+            sent.push(p);
+        }
+        sent
+    }
+
+    #[test]
+    fn wire_recv_all_matches_per_flow_wire_recv() {
+        let mut all = System::boot_virtual_ghost();
+        let mut each = System::boot_virtual_ghost();
+        interleaved_tx(&mut all);
+        interleaved_tx(&mut each);
+        let grouped = all.wire_recv_all();
+        assert_eq!(grouped.keys().copied().collect::<Vec<_>>(), [1, 2, 3, 4]);
+        for (&flow, bytes) in &grouped {
+            assert_eq!(*bytes, each.wire_recv(flow), "flow {flow}");
+        }
+        assert!(all.machine.nic.wire_drain().is_empty(), "TX queue drained");
+        assert!(each.machine.nic.wire_drain().is_empty());
+        assert!(all.wire_recv_all().is_empty());
+    }
+
+    #[test]
+    fn wire_recv_keeps_other_flows_in_transmit_order() {
+        let mut sys = System::boot_virtual_ghost();
+        let sent = interleaved_tx(&mut sys);
+        let want: Vec<u8> = sent
+            .iter()
+            .filter(|p| p.flow == 3)
+            .flat_map(|p| p.data.clone())
+            .collect();
+        assert_eq!(sys.wire_recv(3), want);
+        let rest: Vec<(u64, Vec<u8>)> = sys
+            .machine
+            .nic
+            .wire_drain()
+            .into_iter()
+            .map(|p| (p.flow, p.data))
+            .collect();
+        let expect: Vec<(u64, Vec<u8>)> = sent
+            .into_iter()
+            .filter(|p| p.flow != 3)
+            .map(|p| (p.flow, p.data))
+            .collect();
+        assert_eq!(rest, expect);
+    }
+
+    /// Socket ids are the largest live id + 1: closing the top socket lets
+    /// its id be reused, closing a middle one does not.
+    #[test]
+    fn socket_ids_are_max_live_plus_one() {
+        let mut sys = System::boot_virtual_ghost();
+        sys.install_app("ids", false, || {
+            Box::new(|env| {
+                let pid = env.pid;
+                let id = |env: &mut UserEnv, fd: i64| match env.sys.proc_fd(pid, fd as u64) {
+                    Some(Fd::Sock { id }) => id,
+                    _ => panic!("fd {fd} is not a socket"),
+                };
+                let fds: Vec<i64> = (0..3).map(|_| env.socket()).collect();
+                let ids: Vec<u64> = fds.iter().map(|&fd| id(env, fd)).collect();
+                assert_eq!(ids, [ids[0], ids[0] + 1, ids[0] + 2]);
+                env.close(fds[2]);
+                let top = env.socket();
+                assert_eq!(id(env, top), ids[2], "highest id reused");
+                env.close(fds[1]);
+                let next = env.socket();
+                assert_eq!(id(env, next), ids[2] + 1, "middle gap not reused");
+                0
+            })
+        });
+        let pid = sys.spawn("ids");
+        assert_eq!(sys.run_until_exit(pid), 0);
+    }
 
     /// Satellite regression: `recv`/`accept` return values distinguish
     /// would-block ([`EAGAIN`]) from EOF (0) and error (-1) — the contract
