@@ -411,10 +411,10 @@ fn bench_membus(c: &mut Criterion) {
     g.finish();
 }
 
-// ---- IR engine shapes (lowered vs. reference) ------------------------------
+// ---- IR engine shapes (fused vs. reference) --------------------------------
 
 /// The four hot shapes from the paper's workloads, each run under both IR
-/// engines. `lowered` is the default pre-decoded engine (inline caches,
+/// engines. `fused` is the default superinstruction engine (inline caches,
 /// interned extern ids, frame arena); `reference` is the tree-walker.
 /// Results and simulated costs are identical by construction (see
 /// crates/ir/tests/engine_equivalence.rs); only host wall-time differs.
@@ -428,11 +428,7 @@ fn bench_engines(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     g.sample_size(20);
     for shape in prepared_shapes() {
-        for (label, engine) in [
-            ("fused", Engine::Fused),
-            ("lowered", Engine::Lowered),
-            ("reference", Engine::Reference),
-        ] {
+        for (label, engine) in [("fused", Engine::Fused), ("reference", Engine::Reference)] {
             g.bench_function(format!("{}_{label}", shape.name), |b| {
                 let mut interp = vg_ir::Interp::new(&shape.registry)
                     .with_engine(engine)

@@ -1,4 +1,4 @@
-//! Superinstruction fusion: the code form behind the third execution tier.
+//! Superinstruction fusion: the code form the fast (fused) engine executes.
 //!
 //! The lowered form (see [`lower`](crate::lower)) already removes `Operand`
 //! matching and block-id chasing, but it still pays one dispatch — a fetch
@@ -29,16 +29,16 @@
 //!   degenerate `Jmp` cycles cannot hang fusion; they still hang at run
 //!   time in every tier, exactly like the reference engine).
 //!
-//! The load-bearing invariant (property-tested three ways in
+//! The load-bearing invariant (property-tested against the reference engine in
 //! `crates/ir/tests/engine_equivalence.rs`): fusion is **observationally
 //! free**. Fuel and [`InterpStats`](crate::interp::InterpStats) are charged
 //! per *original* instruction — a fused run that meets fuel exhaustion
 //! executes exactly as many micro-ops as the reference engine would have
 //! executed instructions, then faults with identical counters — and
-//! terminators stay free, exactly as in the other two tiers. Inline-cache
-//! site indices are preserved verbatim, so the registry-generation
-//! invalidation story (module reload, rootkit `register_at` injection) is
-//! shared with the lowered tier unchanged.
+//! terminators stay free, exactly as in the reference engine. Inline-cache
+//! site indices are preserved verbatim, so the fused code indexes the
+//! lowered function's site table and the registry-generation invalidation
+//! story (module reload, rootkit `register_at` injection) applies unchanged.
 
 use crate::inst::{BinOp, Width};
 use crate::lower::{ArgRange, LInst, NO_SLOT};
@@ -283,7 +283,7 @@ pub enum FInst {
         target: u32,
         /// Argument slots.
         args: ArgRange,
-        /// Inline-cache site index (shared with the lowered tier).
+        /// Inline-cache site index into the lowered function's site table.
         site: u32,
     },
     /// Host call by interned extern id.
@@ -335,7 +335,7 @@ pub enum FInst {
         target: u32,
         /// Required label.
         expected_label: u32,
-        /// Inline-cache site index (shared with the lowered tier).
+        /// Inline-cache site index into the lowered function's site table.
         site: u32,
     },
     /// Unconditional jump to fused pc `target`.
@@ -465,11 +465,6 @@ fn slot_reads(code: &[LInst], arg_pool: &[u32], nslots: usize) -> Vec<u32> {
                 for &s in &arg_pool[args.start as usize..(args.start + args.len) as usize] {
                     r(s);
                 }
-            }
-            LInst::Extern1 { a0, .. } => r(a0),
-            LInst::Extern2 { a0, a1, .. } => {
-                r(a0);
-                r(a1);
             }
             LInst::CfiCheck { target, .. } => r(target),
             LInst::Br { cond, .. } => r(cond),
@@ -786,9 +781,16 @@ pub fn fuse_function(
                 args,
                 site,
             },
-            LInst::Extern { dst, ext, args } => FInst::Extern { dst, ext, args },
-            LInst::Extern1 { dst, ext, a0 } => FInst::Extern1 { dst, ext, a0 },
-            LInst::Extern2 { dst, ext, a0, a1 } => FInst::Extern2 { dst, ext, a0, a1 },
+            // The dominant arities get their operands pre-split into the
+            // instruction, skipping the argument pool at run time.
+            LInst::Extern { dst, ext, args } => {
+                let a = &arg_pool[args.start as usize..(args.start + args.len) as usize];
+                match *a {
+                    [a0] => FInst::Extern1 { dst, ext, a0 },
+                    [a0, a1] => FInst::Extern2 { dst, ext, a0, a1 },
+                    _ => FInst::Extern { dst, ext, args },
+                }
+            }
             LInst::CfiCheck {
                 target,
                 expected_label,

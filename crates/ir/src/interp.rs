@@ -5,26 +5,23 @@
 //! machine with kernel privileges); host calls go through an
 //! [`ExternHost`] (kernel APIs and SVA-OS operations).
 //!
-//! Three engines implement one observable semantics (selected by
+//! Two engines implement one observable semantics (selected by
 //! [`Engine`]):
 //!
 //! * **Fused** (the default) executes the superinstruction form built by
-//!   [`fuse`](crate::fuse) on top of the lowered form: straight-line ALU
-//!   sequences run as single fused instructions with one dispatch and one
-//!   up-front fuel check (fuel and [`InterpStats`] still charge per
-//!   *original* instruction, so exhaustion faults at the identical
-//!   instruction index), loop headers run as fused compare-and-branch, and
-//!   loop bodies absorb their back-edge jump.
-//! * **Lowered** executes the pre-decoded linear form built by
-//!   [`lower`](crate::lower) at registration time: no `Operand` matching, no
-//!   per-call register/argv allocations (an explicit frame arena and scratch
-//!   argv buffer are reused across calls and runs), interned extern-id
-//!   dispatch, and per-site inline caches for `CallIndirect`/`CfiCheck`
-//!   validated against the registry generation. The fused tier shares the
-//!   frame arena, extern ids, and inline-cache sites.
+//!   [`fuse`](crate::fuse) on top of the lowered form of
+//!   [`lower`](crate::lower): straight-line ALU sequences run as single
+//!   fused instructions with one dispatch and one up-front fuel check (fuel
+//!   and [`InterpStats`] still charge per *original* instruction, so
+//!   exhaustion faults at the identical instruction index), loop headers run
+//!   as fused compare-and-branch, and loop bodies absorb their back-edge
+//!   jump. From the lowered form it inherits pre-split frame-slot operands,
+//!   an explicit frame arena and scratch argv buffer reused across calls and
+//!   runs, interned extern-id dispatch, and per-site inline caches for
+//!   `CallIndirect`/`CfiCheck` validated against the registry generation.
 //! * **Reference** is the original tree-walker, kept as the executable
-//!   specification (the `Machine::byte_granular_bus` precedent). All three
-//!   are property-tested to produce bit-identical results, faults,
+//!   specification (the `Machine::byte_granular_bus` precedent). The two are
+//!   property-tested to produce bit-identical results, faults,
 //!   [`InterpStats`], and fuel consumption on arbitrary programs.
 //!
 //! Security-relevant semantics:
@@ -38,15 +35,16 @@
 //!   in kernel space. An uninstrumented interpreter run (native kernel)
 //!   executes indirect calls straight through the registry — including to
 //!   injected, unlabeled code.
-//! * The lowered engine's inline caches are tagged with the registry
+//! * The fused engine's inline caches are tagged with the registry
 //!   generation, which every registration (including the rootkit-style
 //!   `register_at` injection) bumps — a warm cache can never satisfy an
 //!   indirect call or CFI check from stale code.
 
 use crate::fuse::{AluOp, FInst, MicroKind, StepFn};
 use crate::inst::{BinOp, Function, Inst, Operand, Terminator, Width};
-use crate::lower::{LInst, LoweredFunction, LoweredModule, SiteCache, NO_SLOT};
+use crate::lower::{LoweredFunction, LoweredModule, SiteCache, NO_SLOT};
 use crate::registry::{CodeAddr, CodeRegistry, ModuleHandle};
+use std::cell::Cell;
 use vg_machine::layout::{mask_kernel_pointer, SVA_INTERNAL_BASE, SVA_INTERNAL_END};
 use vg_machine::VAddr;
 
@@ -81,12 +79,57 @@ pub trait MemBus {
     ///
     /// [`MemFault`] on the first inaccessible byte.
     fn memcpy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), MemFault> {
-        for i in 0..len {
-            let b = self.load(src + i, Width::W1)?;
-            self.store(dst + i, Width::W1, b)?;
-        }
-        Ok(())
+        byte_copy(self, dst, src, len)
     }
+}
+
+/// Resolves indirect target `t` through an inline-cache site. A hit needs
+/// the same target under the current registry generation `gen`; a miss
+/// re-resolves through the registry and refills the site. `None` when no
+/// code is registered at `t`.
+#[inline(always)]
+fn resolve_site(
+    registry: &CodeRegistry,
+    gen: u64,
+    site: &Cell<SiteCache>,
+    t: u64,
+) -> Option<SiteCache> {
+    let c = site.get();
+    if c.gen == gen && c.addr == t {
+        return Some(c);
+    }
+    let e = registry.resolve(CodeAddr(t))?;
+    let c = SiteCache {
+        gen,
+        addr: t,
+        module: e.module,
+        func: e.func,
+        label: e.label,
+    };
+    site.set(c);
+    Some(c)
+}
+
+/// The interleaved byte-at-a-time copy behind [`MemBus::memcpy`]: faults on
+/// the first inaccessible byte, after writing every byte before it. A copy
+/// that runs past the top of the address space faults at the first address
+/// that does not exist (reported as the wrapped address) instead of
+/// overflowing.
+fn byte_copy<M: MemBus + ?Sized>(
+    mem: &mut M,
+    dst: u64,
+    src: u64,
+    len: u64,
+) -> Result<(), MemFault> {
+    for i in 0..len {
+        let at = |base: u64, write| {
+            let addr = base.wrapping_add(i);
+            base.checked_add(i).ok_or(MemFault { addr, write })
+        };
+        let b = mem.load(at(src, false)?, Width::W1)?;
+        mem.store(at(dst, true)?, Width::W1, b)?;
+    }
+    Ok(())
 }
 
 /// Host services available to executing code.
@@ -251,21 +294,19 @@ pub struct InterpStats {
 /// Which execution engine [`Interp`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The superinstruction engine (default): the lowered engine's frame
-    /// arena and inline caches, executing the fused form built by
-    /// [`fuse`](crate::fuse) — straight-line ALU runs, compare-and-branch
-    /// pairs, and loop bodies each dispatch once.
+    /// The superinstruction engine (default): an explicit call stack over a
+    /// reusable frame arena, interned extern dispatch and inline caches,
+    /// executing the fused form built by [`fuse`](crate::fuse) —
+    /// straight-line ALU runs, compare-and-branch pairs, and loop bodies
+    /// each dispatch once.
     #[default]
     Fused,
-    /// The pre-decoded linear engine: explicit call stack over a reusable
-    /// frame arena, interned extern dispatch, inline caches.
-    Lowered,
     /// The original tree-walking interpreter, kept as the executable
-    /// reference the faster engines are checked against.
+    /// reference the fused engine is checked against.
     Reference,
 }
 
-/// A suspended activation of the lowered engine: everything needed to resume
+/// A suspended activation of the fused engine: everything needed to resume
 /// the caller after a `Ret`.
 #[derive(Debug, Clone, Copy)]
 struct Frame<'a> {
@@ -290,7 +331,7 @@ pub struct Interp<'a> {
     fuel: u64,
     max_depth: usize,
     engine: Engine,
-    // Reusable buffers for the lowered engine — cleared, never shrunk, so
+    // Reusable buffers for the fused engine — cleared, never shrunk, so
     // repeated runs and nested calls allocate nothing in steady state.
     slots: Vec<i64>,
     frames: Vec<Frame<'a>>,
@@ -299,7 +340,7 @@ pub struct Interp<'a> {
 
 impl<'a> Interp<'a> {
     /// Creates an interpreter over `registry` with a default fuel budget,
-    /// running the lowered engine.
+    /// running the fused engine.
     pub fn new(registry: &'a CodeRegistry) -> Self {
         Interp {
             registry,
@@ -334,12 +375,7 @@ impl<'a> Interp<'a> {
         self
     }
 
-    /// The engine in effect.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
-    /// Fuel left in the budget. All three engines consume fuel identically
+    /// Fuel left in the budget. Both engines consume fuel identically
     /// (one unit per non-terminator instruction — fused runs charge per
     /// *original* instruction), so this is comparable across engines.
     pub fn fuel_remaining(&self) -> u64 {
@@ -366,10 +402,11 @@ impl<'a> Interp<'a> {
     }
 
     /// Runs function `func` of `module` directly (used for direct kernel
-    /// entry points that are not indirect-call targets).
+    /// entry points that are not indirect-call targets) under the selected
+    /// [`Engine`]: the fused engine, or the reference oracle.
     ///
     /// The environment is a generic parameter (rather than `&mut dyn EnvBus`)
-    /// so the lowered engine is monomorphised per environment type: memory
+    /// so the fused engine is monomorphised per environment type: memory
     /// and host calls inline into the dispatch loop instead of going through
     /// a vtable. The reference tree-walker keeps its historical type-erased
     /// signature.
@@ -386,14 +423,13 @@ impl<'a> Interp<'a> {
     ) -> Result<i64, InterpFault> {
         match self.engine {
             Engine::Fused => self.exec_fused(module, func, args, env),
-            Engine::Lowered => self.exec_lowered(module, func, args, env),
             Engine::Reference => self.exec(module, func, args, env, 0),
         }
     }
 
-    // ---- the lowered engine ------------------------------------------------
+    // ---- the fused engine --------------------------------------------------
 
-    fn exec_lowered<E: MemBus + ExternHost>(
+    fn exec_fused<E: MemBus + ExternHost>(
         &mut self,
         module: ModuleHandle,
         func: u32,
@@ -401,11 +437,10 @@ impl<'a> Interp<'a> {
         env: &mut E,
     ) -> Result<i64, InterpFault> {
         // Detach the reusable buffers so the loop can borrow `self` freely.
+        // They are stored back empty, so they start every run empty.
         let mut slots = std::mem::take(&mut self.slots);
         let mut frames = std::mem::take(&mut self.frames);
-        slots.clear();
-        frames.clear();
-        let r = self.lowered_loop(module, func, args, env, &mut slots, &mut frames);
+        let r = self.fused_loop(module, func, args, env, &mut slots, &mut frames);
         slots.clear();
         frames.clear();
         self.slots = slots;
@@ -413,7 +448,14 @@ impl<'a> Interp<'a> {
         r
     }
 
-    fn lowered_loop<E: MemBus + ExternHost>(
+    /// The superinstruction dispatch loop: an explicit call stack over the
+    /// frame arena, fetching [`FInst`]s, so a fused ALU run or
+    /// compare-and-branch pair costs one dispatch. Fuel and
+    /// [`InterpStats`] are charged per *original* instruction: a run whose
+    /// length exceeds the remaining fuel falls to a slow path that executes
+    /// exactly `fuel` micro-ops and then faults, matching the reference
+    /// engine's exhaustion point bit for bit.
+    fn fused_loop<E: MemBus + ExternHost>(
         &mut self,
         module: ModuleHandle,
         func: u32,
@@ -440,9 +482,11 @@ impl<'a> Interp<'a> {
             pc: 0,
             ret_dst: NO_SLOT,
         };
-        // The hottest frame state (instruction stream, pc, frame base) lives
+        // The hottest frame state (instruction streams, pc, frame base) lives
         // in dedicated locals; `cur` is synchronised at call/return edges.
-        let mut code: &'a [LInst] = &cur.lf.code;
+        let mut code: &'a [FInst] = &cur.lf.fused.code;
+        let mut micro: &'a [AluOp] = &cur.lf.fused.micro;
+        let mut exec: &'a [AluOp] = &cur.lf.fused.exec;
         let mut pc = 0usize;
         let mut base = 0usize;
 
@@ -451,6 +495,7 @@ impl<'a> Interp<'a> {
         // the loop observes the corresponding `self` fields directly.
         let mut fuel = self.fuel;
         let mut insts = self.stats.insts;
+        let mut masks = self.stats.masks;
         let mut returns = self.stats.returns;
         let mut cfi_checks = self.stats.cfi_checks;
         let mut extern_calls = self.stats.extern_calls;
@@ -458,6 +503,7 @@ impl<'a> Interp<'a> {
             () => {
                 self.fuel = fuel;
                 self.stats.insts = insts;
+                self.stats.masks = masks;
                 self.stats.returns = returns;
                 self.stats.cfi_checks = cfi_checks;
                 self.stats.extern_calls = extern_calls;
@@ -470,8 +516,8 @@ impl<'a> Interp<'a> {
             }};
         }
         // Each non-terminator instruction charges fuel and the instruction
-        // counter exactly like the reference engine's inner loop; lowered
-        // terminators (Jmp/Br/Ret) are free, as block terminators are there.
+        // counter exactly like the reference engine's inner loop; terminators
+        // (Jmp/Br/Ret) are free, as block terminators are there.
         macro_rules! charge {
             () => {
                 if fuel == 0 {
@@ -507,350 +553,6 @@ impl<'a> Interp<'a> {
                     ret_dst: $dst,
                 };
                 frames.push(std::mem::replace(&mut cur, callee));
-                code = &clf.code;
-                pc = 0;
-                base = cbase;
-            }};
-        }
-        // Shared host-call epilogue: map errors to faults, store the result.
-        macro_rules! extern_finish {
-            ($r:expr, $name:expr, $dst:expr) => {{
-                let r = match $r {
-                    Ok(r) => r,
-                    Err(HostError::Unknown) => {
-                        bail!(InterpFault::UnknownExtern {
-                            name: $name.to_string(),
-                        })
-                    }
-                    Err(HostError::Failed(reason)) => {
-                        bail!(InterpFault::HostFailed { reason })
-                    }
-                };
-                if $dst != NO_SLOT {
-                    slots[base + $dst as usize] = r;
-                }
-            }};
-        }
-
-        loop {
-            let inst = code[pc];
-            pc += 1;
-            match inst {
-                LInst::Jmp { target } => pc = target as usize,
-                LInst::Br {
-                    cond,
-                    then_pc,
-                    else_pc,
-                } => {
-                    pc = if slots[base + cond as usize] != 0 {
-                        then_pc as usize
-                    } else {
-                        else_pc as usize
-                    };
-                }
-                LInst::Ret { src } => {
-                    if cur.lf.instrumented {
-                        // The CFI pass also checks labels at return sites; in
-                        // this executor returns are structurally safe, so the
-                        // check always passes — but it costs.
-                        cfi_checks += 1;
-                    }
-                    returns += 1;
-                    let v = if src == NO_SLOT {
-                        0
-                    } else {
-                        slots[base + src as usize]
-                    };
-                    slots.truncate(base);
-                    match frames.pop() {
-                        Some(caller) => {
-                            let dst = cur.ret_dst;
-                            cur = caller;
-                            code = &cur.lf.code;
-                            pc = cur.pc;
-                            base = cur.base;
-                            if dst != NO_SLOT {
-                                slots[base + dst as usize] = v;
-                            }
-                        }
-                        None => {
-                            writeback!();
-                            return Ok(v);
-                        }
-                    }
-                }
-                LInst::Bin { op, dst, lhs, rhs } => {
-                    charge!();
-                    slots[base + dst as usize] =
-                        binop(op, slots[base + lhs as usize], slots[base + rhs as usize]);
-                }
-                LInst::Mov { dst, src } => {
-                    charge!();
-                    slots[base + dst as usize] = slots[base + src as usize];
-                }
-                LInst::Load { dst, addr, width } => {
-                    charge!();
-                    self.stats.loads += 1;
-                    let a = slots[base + addr as usize] as u64;
-                    let v = match env.load(a, width) {
-                        Ok(v) => v,
-                        Err(e) => bail!(InterpFault::Mem(e)),
-                    };
-                    slots[base + dst as usize] = v as i64;
-                }
-                LInst::Store { src, addr, width } => {
-                    charge!();
-                    self.stats.stores += 1;
-                    let a = slots[base + addr as usize] as u64;
-                    let v = slots[base + src as usize] as u64;
-                    if let Err(e) = env.store(a, width, v) {
-                        bail!(InterpFault::Mem(e));
-                    }
-                }
-                LInst::Memcpy { dst, src, len } => {
-                    charge!();
-                    let d = slots[base + dst as usize] as u64;
-                    let s = slots[base + src as usize] as u64;
-                    let n = slots[base + len as usize] as u64;
-                    self.stats.memcpy_bytes += n;
-                    if let Err(e) = env.memcpy(d, s, n) {
-                        bail!(InterpFault::Mem(e));
-                    }
-                }
-                LInst::Call { dst, callee, args } => {
-                    charge!();
-                    let clm = cur.lm;
-                    push_frame!(clm, &clm.funcs[callee as usize], args, dst);
-                }
-                LInst::CallIndirect {
-                    dst,
-                    target,
-                    args,
-                    site,
-                } => {
-                    charge!();
-                    let t = slots[base + target as usize] as u64;
-                    let cache = &cur.lf.sites[site as usize];
-                    let c = cache.get();
-                    let (cmodule, cfunc) = if c.gen == gen && c.addr == t {
-                        (c.module, c.func)
-                    } else {
-                        let e = match registry.resolve(CodeAddr(t)) {
-                            Some(e) => e,
-                            None => bail!(InterpFault::BadIndirect { target: t }),
-                        };
-                        cache.set(SiteCache {
-                            gen,
-                            addr: t,
-                            module: e.module,
-                            func: e.func,
-                            label: e.label,
-                        });
-                        (e.module, e.func)
-                    };
-                    let clm: &'a LoweredModule = registry.lowered(cmodule);
-                    push_frame!(clm, &clm.funcs[cfunc as usize], args, dst);
-                }
-                LInst::Extern { dst, ext, args } => {
-                    charge!();
-                    extern_calls += 1;
-                    let n = args.len as usize;
-                    let ap = &cur.lf.arg_pool[args.start as usize..args.start as usize + n];
-                    self.argv.clear();
-                    self.argv
-                        .extend(ap.iter().map(|&s| slots[base + s as usize]));
-                    let name = registry.extern_name(ext).unwrap_or("");
-                    let r = env.call_extern_id(ext, name, &self.argv);
-                    extern_finish!(r, name, dst);
-                }
-                LInst::Extern1 { dst, ext, a0 } => {
-                    charge!();
-                    extern_calls += 1;
-                    let argv = [slots[base + a0 as usize]];
-                    let name = registry.extern_name(ext).unwrap_or("");
-                    let r = env.call_extern_id(ext, name, &argv);
-                    extern_finish!(r, name, dst);
-                }
-                LInst::Extern2 { dst, ext, a0, a1 } => {
-                    charge!();
-                    extern_calls += 1;
-                    let argv = [slots[base + a0 as usize], slots[base + a1 as usize]];
-                    let name = registry.extern_name(ext).unwrap_or("");
-                    let r = env.call_extern_id(ext, name, &argv);
-                    extern_finish!(r, name, dst);
-                }
-                LInst::MaskGhost { dst, src } => {
-                    charge!();
-                    self.stats.masks += 1;
-                    let a = slots[base + src as usize] as u64;
-                    slots[base + dst as usize] = mask_kernel_pointer(VAddr(a)).0 as i64;
-                }
-                LInst::ZeroSva { dst, src } => {
-                    charge!();
-                    self.stats.masks += 1;
-                    let a = slots[base + src as usize] as u64;
-                    slots[base + dst as usize] =
-                        if (SVA_INTERNAL_BASE..SVA_INTERNAL_END).contains(&a) {
-                            0
-                        } else {
-                            a as i64
-                        };
-                }
-                LInst::CfiCheck {
-                    target,
-                    expected_label,
-                    site,
-                } => {
-                    charge!();
-                    cfi_checks += 1;
-                    let t = slots[base + target as usize] as u64;
-                    // No masking happens here: any target below kernel text
-                    // is rejected outright, then the label at the landing
-                    // site must match (see DESIGN.md §4).
-                    if t < crate::registry::KERNEL_TEXT_BASE {
-                        bail!(InterpFault::CfiViolation { target: t });
-                    }
-                    let cache = &cur.lf.sites[site as usize];
-                    let c = cache.get();
-                    let label = if c.gen == gen && c.addr == t {
-                        c.label
-                    } else {
-                        match registry.resolve(CodeAddr(t)) {
-                            Some(e) => {
-                                cache.set(SiteCache {
-                                    gen,
-                                    addr: t,
-                                    module: e.module,
-                                    func: e.func,
-                                    label: e.label,
-                                });
-                                e.label
-                            }
-                            None => bail!(InterpFault::CfiViolation { target: t }),
-                        }
-                    };
-                    if label != Some(expected_label) {
-                        bail!(InterpFault::CfiViolation { target: t });
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- the fused engine --------------------------------------------------
-
-    fn exec_fused<E: MemBus + ExternHost>(
-        &mut self,
-        module: ModuleHandle,
-        func: u32,
-        args: &[i64],
-        env: &mut E,
-    ) -> Result<i64, InterpFault> {
-        // Detach the reusable buffers so the loop can borrow `self` freely.
-        let mut slots = std::mem::take(&mut self.slots);
-        let mut frames = std::mem::take(&mut self.frames);
-        slots.clear();
-        frames.clear();
-        let r = self.fused_loop(module, func, args, env, &mut slots, &mut frames);
-        slots.clear();
-        frames.clear();
-        self.slots = slots;
-        self.frames = frames;
-        r
-    }
-
-    /// The superinstruction dispatch loop. Structurally a copy of
-    /// [`lowered_loop`](Self::lowered_loop) — same frame arena, same inline
-    /// caches, same fault paths — but fetching [`FInst`]s, so a fused ALU
-    /// run or compare-and-branch pair costs one dispatch. Fuel and
-    /// [`InterpStats`] are charged per *original* instruction: a run whose
-    /// length exceeds the remaining fuel falls to a slow path that executes
-    /// exactly `fuel` micro-ops and then faults, matching the reference
-    /// engine's exhaustion point bit for bit.
-    fn fused_loop<E: MemBus + ExternHost>(
-        &mut self,
-        module: ModuleHandle,
-        func: u32,
-        args: &[i64],
-        env: &mut E,
-        slots: &mut Vec<i64>,
-        frames: &mut Vec<Frame<'a>>,
-    ) -> Result<i64, InterpFault> {
-        let registry = self.registry;
-        let gen = registry.generation();
-
-        let lm: &'a LoweredModule = registry.lowered(module);
-        let lf: &'a LoweredFunction = &lm.funcs[func as usize];
-        slots.extend_from_slice(&lf.frame_init);
-        for (i, a) in args.iter().enumerate().take(lf.params as usize) {
-            slots[i] = *a;
-        }
-        let mut cur = Frame {
-            lf,
-            lm,
-            base: 0,
-            pc: 0,
-            ret_dst: NO_SLOT,
-        };
-        let mut code: &'a [FInst] = &cur.lf.fused.code;
-        let mut micro: &'a [AluOp] = &cur.lf.fused.micro;
-        let mut exec: &'a [AluOp] = &cur.lf.fused.exec;
-        let mut pc = 0usize;
-        let mut base = 0usize;
-
-        let mut fuel = self.fuel;
-        let mut insts = self.stats.insts;
-        let mut masks = self.stats.masks;
-        let mut returns = self.stats.returns;
-        let mut cfi_checks = self.stats.cfi_checks;
-        let mut extern_calls = self.stats.extern_calls;
-        macro_rules! writeback {
-            () => {
-                self.fuel = fuel;
-                self.stats.insts = insts;
-                self.stats.masks = masks;
-                self.stats.returns = returns;
-                self.stats.cfi_checks = cfi_checks;
-                self.stats.extern_calls = extern_calls;
-            };
-        }
-        macro_rules! bail {
-            ($e:expr) => {{
-                writeback!();
-                return Err($e);
-            }};
-        }
-        macro_rules! charge {
-            () => {
-                if fuel == 0 {
-                    bail!(InterpFault::OutOfFuel);
-                }
-                fuel -= 1;
-                insts += 1;
-            };
-        }
-        macro_rules! push_frame {
-            ($clm:expr, $clf:expr, $args:expr, $dst:expr) => {{
-                if frames.len() + 1 > self.max_depth {
-                    bail!(InterpFault::StackOverflow);
-                }
-                let clf: &'a LoweredFunction = $clf;
-                let cbase = slots.len();
-                slots.extend_from_slice(&clf.frame_init);
-                let n = ($args.len as usize).min(clf.params as usize);
-                let ap = &cur.lf.arg_pool[$args.start as usize..$args.start as usize + n];
-                for (i, &slot) in ap.iter().enumerate() {
-                    slots[cbase + i] = slots[base + slot as usize];
-                }
-                cur.pc = pc;
-                let callee = Frame {
-                    lf: clf,
-                    lm: $clm,
-                    base: cbase,
-                    pc: 0,
-                    ret_dst: $dst,
-                };
-                frames.push(std::mem::replace(&mut cur, callee));
                 code = &clf.fused.code;
                 micro = &clf.fused.micro;
                 exec = &clf.fused.exec;
@@ -858,13 +560,17 @@ impl<'a> Interp<'a> {
                 base = cbase;
             }};
         }
-        macro_rules! extern_finish {
-            ($r:expr, $name:expr, $dst:expr) => {{
-                let r = match $r {
+        // One host call by interned extern id: map errors to faults, store
+        // the result.
+        macro_rules! call_extern {
+            ($ext:expr, $argv:expr, $dst:expr) => {{
+                extern_calls += 1;
+                let name = registry.extern_name($ext).unwrap_or("");
+                let r = match env.call_extern_id($ext, name, $argv) {
                     Ok(r) => r,
                     Err(HostError::Unknown) => {
                         bail!(InterpFault::UnknownExtern {
-                            name: $name.to_string(),
+                            name: name.to_string(),
                         })
                     }
                     Err(HostError::Failed(reason)) => {
@@ -879,7 +585,7 @@ impl<'a> Interp<'a> {
         // Execute the micro-ops of an ALU run: one up-front fuel check when
         // the budget covers the whole run, otherwise exactly `fuel` micro-ops
         // (charged and mask-counted individually) followed by the same
-        // `OutOfFuel` the per-instruction engines raise at that index.
+        // `OutOfFuel` the reference engine raises at that index.
         macro_rules! alu_run {
             ($start:expr, $len:expr, $masks:expr, $estart:expr, $elen:expr) => {{
                 if fuel >= $len as u64 {
@@ -1006,6 +712,9 @@ impl<'a> Interp<'a> {
                 }
                 FInst::Ret { src } => {
                     if cur.lf.instrumented {
+                        // The CFI pass also checks labels at return sites; in
+                        // this executor returns are structurally safe, so the
+                        // check always passes — but it costs.
                         cfi_checks += 1;
                     }
                     returns += 1;
@@ -1085,54 +794,30 @@ impl<'a> Interp<'a> {
                 } => {
                     charge!();
                     let t = slots[base + target as usize] as u64;
-                    let cache = &cur.lf.sites[site as usize];
-                    let c = cache.get();
-                    let (cmodule, cfunc) = if c.gen == gen && c.addr == t {
-                        (c.module, c.func)
-                    } else {
-                        let e = match registry.resolve(CodeAddr(t)) {
-                            Some(e) => e,
-                            None => bail!(InterpFault::BadIndirect { target: t }),
-                        };
-                        cache.set(SiteCache {
-                            gen,
-                            addr: t,
-                            module: e.module,
-                            func: e.func,
-                            label: e.label,
-                        });
-                        (e.module, e.func)
+                    let Some(c) = resolve_site(registry, gen, &cur.lf.sites[site as usize], t)
+                    else {
+                        bail!(InterpFault::BadIndirect { target: t });
                     };
-                    let clm: &'a LoweredModule = registry.lowered(cmodule);
-                    push_frame!(clm, &clm.funcs[cfunc as usize], args, dst);
+                    let clm: &'a LoweredModule = registry.lowered(c.module);
+                    push_frame!(clm, &clm.funcs[c.func as usize], args, dst);
                 }
                 FInst::Extern { dst, ext, args } => {
                     charge!();
-                    extern_calls += 1;
                     let n = args.len as usize;
                     let ap = &cur.lf.arg_pool[args.start as usize..args.start as usize + n];
                     self.argv.clear();
                     self.argv
                         .extend(ap.iter().map(|&s| slots[base + s as usize]));
-                    let name = registry.extern_name(ext).unwrap_or("");
-                    let r = env.call_extern_id(ext, name, &self.argv);
-                    extern_finish!(r, name, dst);
+                    call_extern!(ext, &self.argv, dst);
                 }
                 FInst::Extern1 { dst, ext, a0 } => {
                     charge!();
-                    extern_calls += 1;
-                    let argv = [slots[base + a0 as usize]];
-                    let name = registry.extern_name(ext).unwrap_or("");
-                    let r = env.call_extern_id(ext, name, &argv);
-                    extern_finish!(r, name, dst);
+                    call_extern!(ext, &[slots[base + a0 as usize]], dst);
                 }
                 FInst::Extern2 { dst, ext, a0, a1 } => {
                     charge!();
-                    extern_calls += 1;
                     let argv = [slots[base + a0 as usize], slots[base + a1 as usize]];
-                    let name = registry.extern_name(ext).unwrap_or("");
-                    let r = env.call_extern_id(ext, name, &argv);
-                    extern_finish!(r, name, dst);
+                    call_extern!(ext, &argv, dst);
                 }
                 FInst::MaskGhost { dst, src } => {
                     charge!();
@@ -1159,29 +844,14 @@ impl<'a> Interp<'a> {
                     charge!();
                     cfi_checks += 1;
                     let t = slots[base + target as usize] as u64;
+                    // No masking happens here: any target below kernel text
+                    // is rejected outright, then the label at the landing
+                    // site must match (see DESIGN.md §4).
                     if t < crate::registry::KERNEL_TEXT_BASE {
                         bail!(InterpFault::CfiViolation { target: t });
                     }
-                    let cache = &cur.lf.sites[site as usize];
-                    let c = cache.get();
-                    let label = if c.gen == gen && c.addr == t {
-                        c.label
-                    } else {
-                        match registry.resolve(CodeAddr(t)) {
-                            Some(e) => {
-                                cache.set(SiteCache {
-                                    gen,
-                                    addr: t,
-                                    module: e.module,
-                                    func: e.func,
-                                    label: e.label,
-                                });
-                                e.label
-                            }
-                            None => bail!(InterpFault::CfiViolation { target: t }),
-                        }
-                    };
-                    if label != Some(expected_label) {
+                    let c = resolve_site(registry, gen, &cur.lf.sites[site as usize], t);
+                    if c.and_then(|c| c.label) != Some(expected_label) {
                         bail!(InterpFault::CfiViolation { target: t });
                     }
                 }
@@ -1607,25 +1277,29 @@ impl FlatMem {
     }
 }
 
+impl FlatMem {
+    /// The in-bounds byte range `addr..addr + n`, or `None` when any of it
+    /// lies past the end of memory (or past the top of the address space).
+    fn range(&self, addr: u64, n: usize) -> Option<std::ops::Range<usize>> {
+        let a = usize::try_from(addr).ok()?;
+        let end = a.checked_add(n).filter(|&e| e <= self.bytes.len())?;
+        Some(a..end)
+    }
+}
+
 impl MemBus for FlatMem {
     fn load(&mut self, addr: u64, width: Width) -> Result<u64, MemFault> {
         let n = width.bytes() as usize;
-        let a = addr as usize;
-        if a + n > self.bytes.len() {
-            return Err(MemFault { addr, write: false });
-        }
+        let r = self.range(addr, n).ok_or(MemFault { addr, write: false })?;
         let mut le = [0u8; 8];
-        le[..n].copy_from_slice(&self.bytes[a..a + n]);
+        le[..n].copy_from_slice(&self.bytes[r]);
         Ok(u64::from_le_bytes(le))
     }
 
     fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), MemFault> {
         let n = width.bytes() as usize;
-        let a = addr as usize;
-        if a + n > self.bytes.len() {
-            return Err(MemFault { addr, write: true });
-        }
-        self.bytes[a..a + n].copy_from_slice(&value.to_le_bytes()[..n]);
+        let r = self.range(addr, n).ok_or(MemFault { addr, write: true })?;
+        self.bytes[r].copy_from_slice(&value.to_le_bytes()[..n]);
         Ok(())
     }
 
@@ -1642,11 +1316,7 @@ impl MemBus for FlatMem {
         // Out-of-bounds or overlapping: the default interleaved byte copy
         // gets both the partial-write prefix and the propagation semantics
         // right, and it faults on exactly the right byte.
-        for i in 0..len {
-            let b = self.load(src + i, Width::W1)?;
-            self.store(dst + i, Width::W1, b)?;
-        }
-        Ok(())
+        byte_copy(self, dst, src, len)
     }
 }
 
@@ -1828,6 +1498,36 @@ mod tests {
                 name: "no.such.fn".into()
             })
         );
+    }
+
+    #[test]
+    fn flat_mem_faults_at_the_top_of_the_address_space() {
+        let mut mem = FlatMem::new(64);
+        fn fault<T>(addr: u64, write: bool) -> Result<T, MemFault> {
+            Err(MemFault { addr, write })
+        }
+        for k in [0u64, 1, 3, 7] {
+            let top = u64::MAX - k;
+            assert_eq!(mem.load(top, Width::W8), fault(top, false), "{k}");
+            assert_eq!(mem.load(top, Width::W1), fault(top, false), "{k}");
+            assert_eq!(mem.store(top, Width::W8, 1), fault(top, true), "{k}");
+            assert_eq!(mem.memcpy(0, top, 16), fault(top, false), "{k}");
+            assert_eq!(mem.memcpy(top, 0, 16), fault(top, true), "{k}");
+        }
+        // The trait's default byte copy, with a memory whose top bytes
+        // exist, stops at the first address past `u64::MAX`.
+        struct TopPage;
+        impl MemBus for TopPage {
+            fn load(&mut self, addr: u64, _: Width) -> Result<u64, MemFault> {
+                Ok(addr & 0xff)
+            }
+            fn store(&mut self, _: u64, _: Width, _: u64) -> Result<(), MemFault> {
+                Ok(())
+            }
+        }
+        assert_eq!(TopPage.memcpy(0, u64::MAX - 1, 4), fault(0, false));
+        assert_eq!(TopPage.memcpy(u64::MAX - 1, 0, 4), fault(0, true));
+        assert!(mem.bytes.iter().all(|&b| b == 0), "no partial writes");
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! Lowering: the pre-decoded execution format behind the fast engine.
+//! Lowering: the pre-decoded form the fuser builds the fast engine's code from.
 //!
 //! [`CodeRegistry::register_module`](crate::registry::CodeRegistry::register_module)
 //! runs every function through [`lower_module`] once, at load time, producing
-//! a [`LoweredModule`] the lowered engine executes instead of the block/enum
-//! tree:
+//! a [`LoweredModule`] that replaces the block/enum tree at run time. The
+//! fuser ([`fuse`]) rewrites each lowered function's stream into
+//! the superinstruction code the fused engine executes; the lowered form
+//! itself holds what that engine shares across its code — the frame
+//! template, argument pool, interned extern ids and inline-cache sites:
 //!
 //! * Blocks are flattened into one linear [`LInst`] array per function;
 //!   terminators become instructions whose branch targets are **pre-resolved
@@ -24,10 +27,10 @@
 //!   the generation and implicitly flushes every cache.
 //!
 //! Lowering is purely structural: it never changes which instructions
-//! execute, in what order, or what they charge. The lowered engine in
-//! [`interp`](crate::interp) is property-tested to produce bit-identical
-//! results, faults, statistics and fuel consumption to the reference
-//! tree-walker.
+//! execute, in what order, or what they charge. The fused engine in
+//! [`interp`](crate::interp) that runs on top of it is property-tested to
+//! produce bit-identical results, faults, statistics and fuel consumption to
+//! the reference tree-walker.
 
 use crate::fuse::{self, FusedCode};
 use crate::inst::{BinOp, Function, Inst, Module, Operand, Terminator, Width};
@@ -182,27 +185,6 @@ pub enum LInst {
         /// Argument slots.
         args: ArgRange,
     },
-    /// One-argument host call (the dominant arities get their operands
-    /// pre-split into the instruction, skipping the argument pool).
-    Extern1 {
-        /// Result slot ([`NO_SLOT`] if unused).
-        dst: u32,
-        /// Interned extern id (resolve via the registry's interner).
-        ext: u32,
-        /// Argument slot.
-        a0: u32,
-    },
-    /// Two-argument host call; see [`LInst::Extern1`].
-    Extern2 {
-        /// Result slot ([`NO_SLOT`] if unused).
-        dst: u32,
-        /// Interned extern id (resolve via the registry's interner).
-        ext: u32,
-        /// First argument slot.
-        a0: u32,
-        /// Second argument slot.
-        a1: u32,
-    },
     /// Ghost-mask `slot[src]` into `slot[dst]`.
     MaskGhost {
         /// Destination slot.
@@ -295,9 +277,9 @@ pub struct LoweredFunction {
     pub arg_pool: Vec<u32>,
     /// Inline caches, one per `CallIndirect`/`CfiCheck` site. `Cell` because
     /// caches warm while the registry (which owns the lowered code behind an
-    /// `Rc`) is only shared-borrowed by the engine. Shared by the lowered
-    /// *and* fused tiers (fusion preserves site indices verbatim), so the
-    /// generation-based invalidation story covers both.
+    /// `Rc`) is only shared-borrowed by the engine. Fusion preserves site
+    /// indices verbatim, so the fused code indexes this table and the
+    /// generation-based invalidation story covers it.
     pub sites: Vec<Cell<SiteCache>>,
     /// Whether the function carries a CFI label (return sites then charge a
     /// label check, mirroring the reference engine).
@@ -305,13 +287,6 @@ pub struct LoweredFunction {
     /// The superinstruction tier's form of [`code`](Self::code), built by
     /// [`fuse::fuse_function`] at lowering time (see `fuse.rs`).
     pub fused: FusedCode,
-}
-
-impl LoweredFunction {
-    /// Total frame size in slots: registers plus the constant tail.
-    pub fn frame_slots(&self) -> usize {
-        self.nregs as usize + self.consts.len()
-    }
 }
 
 /// A module in execution form; indices parallel [`Module::functions`].
@@ -471,28 +446,11 @@ pub fn lower_function(
                         site,
                     }
                 }
-                Inst::Extern { dst, name, args } => {
-                    let dst = dst.map_or(NO_SLOT, |d| d.0);
-                    let ext = externs.intern(name);
-                    match args.as_slice() {
-                        [a0] => LInst::Extern1 {
-                            dst,
-                            ext,
-                            a0: slot_of(a0),
-                        },
-                        [a0, a1] => LInst::Extern2 {
-                            dst,
-                            ext,
-                            a0: slot_of(a0),
-                            a1: slot_of(a1),
-                        },
-                        _ => LInst::Extern {
-                            dst,
-                            ext,
-                            args: pool_args(&mut arg_pool, args, &mut slot_of, &f.name)?,
-                        },
-                    }
-                }
+                Inst::Extern { dst, name, args } => LInst::Extern {
+                    dst: dst.map_or(NO_SLOT, |d| d.0),
+                    ext: externs.intern(name),
+                    args: pool_args(&mut arg_pool, args, &mut slot_of, &f.name)?,
+                },
                 Inst::MaskGhost { dst, src } => LInst::MaskGhost {
                     dst: dst.0,
                     src: slot_of(src),
@@ -631,9 +589,7 @@ mod tests {
             .code
             .iter()
             .filter_map(|i| match i {
-                LInst::Extern { ext, .. }
-                | LInst::Extern1 { ext, .. }
-                | LInst::Extern2 { ext, .. } => Some(*ext),
+                LInst::Extern { ext, .. } => Some(*ext),
                 _ => None,
             })
             .collect();

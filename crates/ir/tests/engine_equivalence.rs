@@ -1,13 +1,12 @@
-//! Differential tests: the fused and lowered engines against the reference
-//! tree-walker.
+//! Differential tests: the fused engine against the reference tree-walker.
 //!
-//! The hard invariant of the fast engines (see `interp.rs`): for *any*
+//! The hard invariant of the fast engine (see `interp.rs`): for *any*
 //! program — including ones that fault, run out of fuel (even mid-fused-run),
-//! overflow the call stack, or hit unknown host functions — all three
-//! engines produce bit-identical results, faults, [`InterpStats`], remaining
-//! fuel, and memory state. The property test below generates multi-function
+//! overflow the call stack, or hit unknown host functions — both engines
+//! produce bit-identical results, faults, [`InterpStats`], remaining fuel,
+//! and memory state. The property test below generates multi-function
 //! programs with loops, direct and indirect calls, CFI checks, and extern
-//! calls, then runs them under every engine at randomized fuel and depth
+//! calls, then runs them under both engines at randomized fuel and depth
 //! limits.
 
 use proptest::prelude::*;
@@ -25,8 +24,8 @@ const NBLOCKS: u32 = 3;
 const LABEL: u32 = 7;
 
 /// A host with a couple of known functions, exercised both through the
-/// string path (reference engine) and the id path (lowered engine default
-/// fallback).
+/// string path (reference engine) and the id path (fused engine, through the
+/// default `call_extern_id` fallback).
 #[derive(Default)]
 struct TestHost {
     calls: u64,
@@ -254,20 +253,16 @@ proptest! {
         // through register 0 sometimes succeed instead of always faulting.
         let args = [entry.0 as i64, a0 as i64];
         let reference = run_engine(&reg, Engine::Reference, entry, &args, fuel, max_depth);
-        let lowered = run_engine(&reg, Engine::Lowered, entry, &args, fuel, max_depth);
-        prop_assert_eq!(&lowered, &reference);
         let fused = run_engine(&reg, Engine::Fused, entry, &args, fuel, max_depth);
         prop_assert_eq!(&fused, &reference);
-        // Run the fast engines again with every inline cache warm (the two
-        // tiers share one site table per function): still identical.
-        let warm = run_engine(&reg, Engine::Lowered, entry, &args, fuel, max_depth);
+        // Run the fused engine again with every inline cache warm: still
+        // identical.
+        let warm = run_engine(&reg, Engine::Fused, entry, &args, fuel, max_depth);
         prop_assert_eq!(&warm, &reference);
-        let warm_fused = run_engine(&reg, Engine::Fused, entry, &args, fuel, max_depth);
-        prop_assert_eq!(&warm_fused, &reference);
     }
 
     /// Satellite (shift-count semantics): shift counts at and beyond 64, and
-    /// negative counts, are taken mod 64 identically by all three engines.
+    /// negative counts, are taken mod 64 identically by both engines.
     #[test]
     fn shift_semantics_agree(
         a in any::<i64>(),
@@ -290,9 +285,7 @@ proptest! {
         let entry = reg.addr_of(h, "f0").expect("registered");
         let args = [a, count];
         let reference = run_engine(&reg, Engine::Reference, entry, &args, 100, 4);
-        let lowered = run_engine(&reg, Engine::Lowered, entry, &args, 100, 4);
         let fused = run_engine(&reg, Engine::Fused, entry, &args, 100, 4);
-        prop_assert_eq!(&lowered, &reference);
         prop_assert_eq!(&fused, &reference);
         // And against the documented mod-64 model directly.
         let expect = if shr {
@@ -321,7 +314,7 @@ fn limits_module() -> Module {
     m
 }
 
-/// Satellite: all three engines hit `OutOfFuel` at exactly the same point
+/// Satellite: both engines hit `OutOfFuel` at exactly the same point
 /// for every fuel budget (identical stats and zero fuel left).
 #[test]
 fn equal_out_of_fuel_points() {
@@ -330,18 +323,16 @@ fn equal_out_of_fuel_points() {
     let entry = reg.addr_of(h, "spin").unwrap();
     for fuel in 0..64 {
         let r = run_engine(&reg, Engine::Reference, entry, &[], fuel, 128);
-        let l = run_engine(&reg, Engine::Lowered, entry, &[], fuel, 128);
         let f = run_engine(&reg, Engine::Fused, entry, &[], fuel, 128);
-        assert_eq!(l, r, "fuel budget {fuel}");
-        assert_eq!(f, r, "fuel budget {fuel} (fused)");
+        assert_eq!(f, r, "fuel budget {fuel}");
         assert_eq!(r.result, Err(InterpFault::OutOfFuel));
         assert_eq!(r.fuel_left, 0);
     }
 }
 
 /// Satellite: fuel exhaustion *inside* a fused ALU run faults at the
-/// identical instruction index, with identical counters, in all three
-/// engines — the fused engine's amortized fuel check may not move the
+/// identical instruction index, with identical counters, in both engines —
+/// the fused engine's amortized fuel check may not move the
 /// exhaustion point.
 #[test]
 fn out_of_fuel_mid_fused_sequence() {
@@ -361,10 +352,8 @@ fn out_of_fuel_mid_fused_sequence() {
     let entry = reg.addr_of(h, "f").unwrap();
     for fuel in 0..32 {
         let r = run_engine(&reg, Engine::Reference, entry, &[7], fuel, 8);
-        let l = run_engine(&reg, Engine::Lowered, entry, &[7], fuel, 8);
         let f = run_engine(&reg, Engine::Fused, entry, &[7], fuel, 8);
-        assert_eq!(l, r, "fuel budget {fuel}");
-        assert_eq!(f, r, "fuel budget {fuel} (fused)");
+        assert_eq!(f, r, "fuel budget {fuel}");
         if fuel < 24 {
             assert_eq!(r.result, Err(InterpFault::OutOfFuel), "fuel {fuel}");
             assert_eq!(r.stats.insts, fuel, "exhaustion index, fuel {fuel}");
@@ -374,7 +363,7 @@ fn out_of_fuel_mid_fused_sequence() {
     }
 }
 
-/// Satellite: all three engines hit `StackOverflow` at exactly the same
+/// Satellite: both engines hit `StackOverflow` at exactly the same
 /// frame count for every depth limit.
 #[test]
 fn equal_stack_overflow_points() {
@@ -383,10 +372,8 @@ fn equal_stack_overflow_points() {
     let entry = reg.addr_of(h, "rec").unwrap();
     for depth in 0..32 {
         let r = run_engine(&reg, Engine::Reference, entry, &[], 1_000_000, depth);
-        let l = run_engine(&reg, Engine::Lowered, entry, &[], 1_000_000, depth);
         let f = run_engine(&reg, Engine::Fused, entry, &[], 1_000_000, depth);
-        assert_eq!(l, r, "depth limit {depth}");
-        assert_eq!(f, r, "depth limit {depth} (fused)");
+        assert_eq!(f, r, "depth limit {depth}");
         assert_eq!(r.result, Err(InterpFault::StackOverflow));
         // Exactly one call instruction per frame reached the check.
         assert_eq!(r.stats.insts, depth as u64 + 1);
@@ -395,7 +382,7 @@ fn equal_stack_overflow_points() {
 
 /// Satellite (fuel write-back on fault paths): for *every* fault kind, the
 /// full outcome — result, stats, remaining fuel, memory — is identical
-/// across the three engines. The fast engines cache fuel in a local and
+/// across both engines. The fused engine caches fuel in a local and
 /// write it back on exit; a missed write-back on any early-return path
 /// would show up here as a `fuel_left` divergence.
 #[test]
@@ -481,10 +468,8 @@ fn fuel_writeback_agrees_on_every_fault_kind() {
         let h = reg.register_module(m, CodeSpace::Kernel);
         let entry = reg.addr_of(h, "f").unwrap();
         let r = run_engine(&reg, Engine::Reference, entry, &[5], 1000, 8);
-        let l = run_engine(&reg, Engine::Lowered, entry, &[5], 1000, 8);
         let f = run_engine(&reg, Engine::Fused, entry, &[5], 1000, 8);
         assert_eq!(r.result, Err(want), "{label}: expected fault");
-        assert_eq!(l, r, "{label}: lowered diverged");
         assert_eq!(f, r, "{label}: fused diverged");
         assert!(r.fuel_left > 0, "{label}: fault should leave fuel");
     }
@@ -504,23 +489,23 @@ fn unknown_extern_surfaces_identically() {
     let mut reg = CodeRegistry::new();
     let h = reg.register_module(m, CodeSpace::Kernel);
     let entry = reg.addr_of(h, "f").unwrap();
-    let l = run_engine(&reg, Engine::Lowered, entry, &[], 1000, 128);
+    let f = run_engine(&reg, Engine::Fused, entry, &[], 1000, 128);
     let r = run_engine(&reg, Engine::Reference, entry, &[], 1000, 128);
-    assert_eq!(l, r);
+    assert_eq!(f, r);
     assert_eq!(
-        l.result,
+        f.result,
         Err(InterpFault::UnknownExtern {
             name: "definitely.not.a.host.fn".into()
         })
     );
     // The known extern before it did run (via the default string fallback of
     // `call_extern_id`).
-    assert_eq!(l.host_calls, 2);
-    assert_eq!(l.stats.extern_calls, 2);
+    assert_eq!(f.host_calls, 2);
+    assert_eq!(f.stats.extern_calls, 2);
 }
 
 /// A host that *only* understands ids it precomputed — calls reaching it by
-/// name would fail. Proves the lowered engine passes ids the interner
+/// name would fail. Proves the fused engine passes ids the interner
 /// actually assigned.
 struct IdOnlyHost {
     add_id: u32,
@@ -541,7 +526,7 @@ impl ExternHost for IdOnlyHost {
 }
 
 #[test]
-fn lowered_engine_dispatches_by_interned_id() {
+fn fused_engine_dispatches_by_interned_id() {
     let mut m = Module::new("t");
     let mut b = FunctionBuilder::new("f", 0);
     let v = b.ext("test.add", &[20.into(), 22.into()]);
@@ -550,7 +535,7 @@ fn lowered_engine_dispatches_by_interned_id() {
     let h = reg.register_module(m, CodeSpace::Kernel);
     let entry = reg.addr_of(h, "f").unwrap();
     let add_id = reg.extern_id("test.add").expect("interned at lowering");
-    let mut interp = Interp::new(&reg);
+    let mut interp = Interp::new(&reg).with_engine(Engine::Fused);
     let mut mem = FlatMem::new(64);
     let mut host = IdOnlyHost { add_id };
     let r = interp.run(
@@ -613,31 +598,21 @@ fn warm_inline_caches_are_invalidated_by_registration() {
     assert!(target.0 >= KERNEL_TEXT_BASE);
     let entry = reg.addr_of(ch, "main").unwrap();
 
-    // Warm both site caches (CFI check + indirect call) on the `ok` target —
-    // under *both* fast tiers, which share one site table per function.
-    let warm = run_engine(&reg, Engine::Lowered, entry, &[target.0 as i64], 1000, 8);
+    // Warm both site caches (CFI check + indirect call) on the `ok` target.
+    let warm = run_engine(&reg, Engine::Fused, entry, &[target.0 as i64], 1000, 8);
     assert_eq!(warm.result, Ok(1));
-    let warm_fused = run_engine(&reg, Engine::Fused, entry, &[target.0 as i64], 1000, 8);
-    assert_eq!(warm_fused.result, Ok(1));
 
     // Rootkit move: rebind the *same address* to the differently-labeled
     // `bad` function. The generation bump must flush the warm caches, so the
-    // CFI check re-resolves and rejects the swapped-in code — in both tiers.
+    // CFI check re-resolves and rejects the swapped-in code.
     reg.register_at(target, th, 1);
-    let after = run_engine(&reg, Engine::Lowered, entry, &[target.0 as i64], 1000, 8);
+    let after = run_engine(&reg, Engine::Fused, entry, &[target.0 as i64], 1000, 8);
     assert_eq!(
         after.result,
         Err(InterpFault::CfiViolation { target: target.0 }),
         "stale cache satisfied a CFI check over injected code"
     );
-    let after_fused = run_engine(&reg, Engine::Fused, entry, &[target.0 as i64], 1000, 8);
-    assert_eq!(
-        after_fused.result,
-        Err(InterpFault::CfiViolation { target: target.0 }),
-        "stale cache satisfied a CFI check over injected code (fused)"
-    );
     // And the reference engine agrees about the post-injection world.
     let reference = run_engine(&reg, Engine::Reference, entry, &[target.0 as i64], 1000, 8);
     assert_eq!(after, reference);
-    assert_eq!(after_fused, reference);
 }

@@ -115,7 +115,7 @@ impl MemBus for KernelCtx<'_> {
 }
 
 /// The kernel API surface, one variant per extern name. Module code names
-/// these by string in the IR; the lowered engine calls through
+/// these by string in the IR; the fused engine calls through
 /// [`ExternHost::call_extern_id`] with the registry's interned id, which the
 /// system resolves to a `KernApi` through a table built once per id (see
 /// [`System::kern_api_tab`](crate::system::System)) — no string matching on

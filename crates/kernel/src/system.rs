@@ -468,17 +468,6 @@ impl System {
         self.mode_name
     }
 
-    /// The IR engine module/user code runs under: the fused superinstruction
-    /// engine by default, or whichever tier
-    /// [`Machine::ir_engine`](vg_machine::Machine) selects.
-    pub fn interp_engine(&self) -> vg_ir::Engine {
-        match self.machine.ir_engine {
-            vg_machine::IrEngine::Fused => vg_ir::Engine::Fused,
-            vg_machine::IrEngine::Lowered => vg_ir::Engine::Lowered,
-            vg_machine::IrEngine::Reference => vg_ir::Engine::Reference,
-        }
-    }
-
     /// Installs an application binary: computes the code digest, derives a
     /// per-app key, and has the VM produce the signed binary with the
     /// embedded encrypted key section (the trusted-administrator step).
@@ -1458,7 +1447,7 @@ impl System {
         }
         if self.vm.code.resolve(vg_ir::CodeAddr(addr)).is_some() {
             let registry = self.vm.code.clone();
-            let mut interp = vg_ir::Interp::new(&registry).with_engine(self.interp_engine());
+            let mut interp = vg_ir::Interp::new(&registry);
             let mut ctx = crate::module::UserCtx { sys: self, pid };
             let result = interp.run(vg_ir::CodeAddr(addr), &[arg as i64], &mut ctx);
             let stats = interp.stats;
