@@ -148,6 +148,9 @@ impl FsWork {
 struct CachedBlock {
     data: Vec<u8>,
     dirty: bool,
+    /// LRU tick of the last touch; ticks are unique, so the eviction
+    /// victim (the minimum) is well defined.
+    tick: u64,
 }
 
 /// Backing store abstraction so the filesystem can be unit-tested against a
@@ -217,7 +220,6 @@ pub struct VgFs {
     cache: HashMap<u32, CachedBlock>,
     cache_cap: usize,
     clock: u64, // LRU tick
-    lru: HashMap<u32, u64>,
 }
 
 impl VgFs {
@@ -234,7 +236,6 @@ impl VgFs {
             cache: HashMap::new(),
             cache_cap: 4096,
             clock: 0,
-            lru: HashMap::new(),
         };
         let mut w = FsWork::default();
         // mkfs runs at boot, before any fault plan can be armed, so the
@@ -270,7 +271,6 @@ impl VgFs {
             cache: HashMap::new(),
             cache_cap: 4096,
             clock: 0,
-            lru: HashMap::new(),
         }
     }
 
@@ -289,33 +289,37 @@ impl VgFs {
     ) -> Result<R, FsError> {
         self.clock += 1;
         let tick = self.clock;
-        if !self.cache.contains_key(&bno) {
-            if self.cache.len() >= self.cache_cap {
-                self.evict_one(dev, w)?;
-            }
-            w.disk_reads += 1;
-            let data = dev.read_block(bno)?;
-            self.cache.insert(bno, CachedBlock { data, dirty: false });
+        if let Some(blk) = self.cache.get_mut(&bno) {
+            blk.tick = tick;
+            w.acc(8);
+            return Ok(f(blk));
         }
-        self.lru.insert(bno, tick);
+        if self.cache.len() >= self.cache_cap {
+            self.evict_one(dev, w)?;
+        }
+        w.disk_reads += 1;
+        let data = dev.read_block(bno)?;
+        let blk = self.cache.entry(bno).or_insert(CachedBlock {
+            data,
+            dirty: false,
+            tick,
+        });
         w.acc(8);
-        Ok(f(self.cache.get_mut(&bno).expect("just inserted")))
+        Ok(f(blk))
     }
 
     fn evict_one(&mut self, dev: &mut dyn BlockDev, w: &mut FsWork) -> Result<(), FsError> {
-        if let Some((&victim, _)) = self.lru.iter().min_by_key(|(_, &t)| t) {
-            if let Some(b) = self.cache.get(&victim) {
-                if b.dirty {
-                    w.disk_writes += 1;
-                    // On failure the victim stays cached (and dirty): no
-                    // data is lost, the cache just runs over capacity until
-                    // the device recovers.
-                    dev.write_block(victim, &b.data)?;
-                }
-            }
-            self.cache.remove(&victim);
-            self.lru.remove(&victim);
+        let Some((&victim, b)) = self.cache.iter().min_by_key(|(_, b)| b.tick) else {
+            return Ok(());
+        };
+        if b.dirty {
+            w.disk_writes += 1;
+            // On failure the victim stays cached (and dirty): no data is
+            // lost, the cache just runs over capacity until the device
+            // recovers.
+            dev.write_block(victim, &b.data)?;
         }
+        self.cache.remove(&victim);
         Ok(())
     }
 
@@ -461,24 +465,45 @@ impl VgFs {
         })
     }
 
+    /// Takes the lowest free inode. The model charges a UFS-style scan that
+    /// reads one inode at a time from inode 1; the host examines a whole
+    /// inode block per cache touch and books the touches it stands for
+    /// (only the first touch of a block can miss, the rest are hits).
     fn alloc_inode(
         &mut self,
         dev: &mut dyn BlockDev,
         kind: InodeKind,
         w: &mut FsWork,
     ) -> Result<Ino, FsError> {
-        for i in 1..self.ninodes {
-            let ino = Ino(i);
-            let d = self.read_inode(dev, ino, w)?;
-            if d.kind == 0 {
+        let per_block = INODES_PER_BLOCK as u32;
+        let mut first = 1;
+        while first < self.ninodes {
+            let end = ((first / per_block + 1) * per_block).min(self.ninodes);
+            let (bno, _) = self.inode_block(Ino(first));
+            let free = self.with_block(dev, bno, w, |blk| {
+                (first..end).find(|&i| {
+                    let off = (i as usize % INODES_PER_BLOCK) * INODE_SIZE;
+                    blk.data[off] == 0 && blk.data[off + 1] == 0
+                })
+            })?;
+            // The model reads one inode per touch: each after the block's
+            // first is a hit that advances the LRU clock.
+            let hits = u64::from(free.map_or(end, |i| i + 1) - first - 1);
+            for _ in 0..hits {
+                w.acc(8);
+            }
+            self.clock += hits;
+            self.cache.get_mut(&bno).expect("just touched").tick = self.clock;
+            if let Some(i) = free {
                 let fresh = DiskInode {
                     kind: if kind == InodeKind::Dir { 2 } else { 1 },
                     nlink: 1,
                     ..Default::default()
                 };
-                self.write_inode(dev, ino, &fresh, w)?;
-                return Ok(ino);
+                self.write_inode(dev, Ino(i), &fresh, w)?;
+                return Ok(Ino(i));
             }
+            first = end;
         }
         Err(FsError::NoSpace)
     }
@@ -664,56 +689,24 @@ impl VgFs {
 
     // ---- directories & paths ----------------------------------------------
 
-    fn dir_entries(
+    /// Reads the directory image of `dir`. The model charges the scan a
+    /// UFS-style kernel makes over it: every record's fields are loaded
+    /// individually (and thus individually instrumented under Virtual
+    /// Ghost), whether or not the caller stops at an early match.
+    fn dir_image(
         &mut self,
         dev: &mut dyn BlockDev,
         dir: Ino,
         w: &mut FsWork,
-    ) -> Result<Vec<(String, Ino)>, FsError> {
+    ) -> Result<Vec<u8>, FsError> {
         let (size, kind) = self.stat(dev, dir, w)?;
         if kind != InodeKind::Dir {
             return Err(FsError::WrongKind);
         }
         let mut raw = vec![0u8; size as usize];
         self.read(dev, dir, 0, &mut raw, w)?;
-        // Directory-entry iteration is byte-granular kernel work — each
-        // record's fields are individually loaded (and thus individually
-        // instrumented under Virtual Ghost).
         w.acc(raw.len() as u64 / 4 + 8);
-        let mut entries = Vec::new();
-        let mut pos = 0;
-        while pos + 5 <= raw.len() {
-            let ino = u32::from_le_bytes(raw[pos..pos + 4].try_into().unwrap());
-            let len = raw[pos + 4] as usize;
-            pos += 5;
-            if pos + len > raw.len() {
-                break;
-            }
-            let name = String::from_utf8_lossy(&raw[pos..pos + len]).into_owned();
-            pos += len;
-            if ino != 0 {
-                entries.push((name, Ino(ino)));
-            }
-        }
-        Ok(entries)
-    }
-
-    fn write_dir_entries(
-        &mut self,
-        dev: &mut dyn BlockDev,
-        dir: Ino,
-        entries: &[(String, Ino)],
-        w: &mut FsWork,
-    ) -> Result<(), FsError> {
-        let mut raw = Vec::new();
-        for (name, ino) in entries {
-            raw.extend_from_slice(&ino.0.to_le_bytes());
-            raw.push(name.len() as u8);
-            raw.extend_from_slice(name.as_bytes());
-        }
-        self.truncate(dev, dir, w)?;
-        self.write(dev, dir, 0, &raw, w)?;
-        Ok(())
+        Ok(raw)
     }
 
     fn lookup_in(
@@ -724,11 +717,9 @@ impl VgFs {
         w: &mut FsWork,
     ) -> Result<Ino, FsError> {
         w.acc(24); // name comparison work
-        self.dir_entries(dev, dir, w)?
-            .into_iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, i)| i)
-            .ok_or(FsError::NotFound)
+        let raw = self.dir_image(dev, dir, w)?;
+        let found = find_record(&raw, name).map(|r| Ino(r.ino));
+        found.ok_or(FsError::NotFound)
     }
 
     /// Resolves an absolute path to an inode.
@@ -765,13 +756,17 @@ impl VgFs {
     ) -> Result<Ino, FsError> {
         let (parent_path, name) = Self::split_path(path)?;
         let parent = self.lookup(dev, parent_path, w)?;
-        let mut entries = self.dir_entries(dev, parent, w)?;
-        if entries.iter().any(|(n, _)| n == name) {
+        let mut raw = self.dir_image(dev, parent, w)?;
+        if find_record(&raw, name).is_some() {
             return Err(FsError::Exists);
         }
         let ino = self.alloc_inode(dev, kind, w)?;
-        entries.push((name.to_string(), ino));
-        self.write_dir_entries(dev, parent, &entries, w)?;
+        compact_dir(&mut raw, None);
+        raw.extend_from_slice(&ino.0.to_le_bytes());
+        raw.push(name.len() as u8);
+        raw.extend_from_slice(name.as_bytes());
+        self.truncate(dev, parent, w)?;
+        self.write(dev, parent, 0, &raw, w)?;
         Ok(ino)
     }
 
@@ -784,20 +779,22 @@ impl VgFs {
     ) -> Result<(), FsError> {
         let (parent_path, name) = Self::split_path(path)?;
         let parent = self.lookup(dev, parent_path, w)?;
-        let mut entries = self.dir_entries(dev, parent, w)?;
-        let idx = entries
-            .iter()
-            .position(|(n, _)| n == name)
+        let mut raw = self.dir_image(dev, parent, w)?;
+        let (ino, at) = find_record(&raw, name)
+            .map(|r| (Ino(r.ino), r.span.start))
             .ok_or(FsError::NotFound)?;
-        let ino = entries[idx].1;
         let (_, kind) = self.stat(dev, ino, w)?;
-        if kind == InodeKind::Dir && !self.dir_entries(dev, ino, w)?.is_empty() {
-            return Err(FsError::NotEmpty);
+        if kind == InodeKind::Dir {
+            let child = self.dir_image(dev, ino, w)?;
+            if dir_records(&child).any(|r| r.is_live()) {
+                return Err(FsError::NotEmpty);
+            }
         }
         self.truncate(dev, ino, w)?;
         self.write_inode(dev, ino, &DiskInode::default(), w)?;
-        entries.remove(idx);
-        self.write_dir_entries(dev, parent, &entries, w)?;
+        compact_dir(&mut raw, Some(at));
+        self.truncate(dev, parent, w)?;
+        self.write(dev, parent, 0, &raw, w)?;
         Ok(())
     }
 
@@ -809,9 +806,82 @@ impl VgFs {
         w: &mut FsWork,
     ) -> Result<Vec<(String, Ino)>, FsError> {
         let dir = self.lookup(dev, path, w)?;
-        self.dir_entries(dev, dir, w)
+        let raw = self.dir_image(dev, dir, w)?;
+        Ok(dir_records(&raw)
+            .filter(DirRecord::is_live)
+            .map(|r| (String::from_utf8_lossy(r.name).into_owned(), Ino(r.ino)))
+            .collect())
     }
 }
+
+/// One directory record, borrowed from a directory image. On disk a record
+/// is `[ino: u32 LE][len: u8][name: len bytes]`; `ino == 0` marks a free
+/// slot.
+struct DirRecord<'a> {
+    ino: u32,
+    name: &'a [u8],
+    /// Byte range of the whole record in the image.
+    span: std::ops::Range<usize>,
+}
+
+impl DirRecord<'_> {
+    fn is_live(&self) -> bool {
+        self.ino != 0
+    }
+}
+
+/// The complete record that starts at `pos` of a directory image, if any.
+fn dir_record_at(raw: &[u8], pos: usize) -> Option<DirRecord<'_>> {
+    let header = raw.get(pos..pos + 5)?;
+    let end = pos + 5 + header[4] as usize;
+    Some(DirRecord {
+        ino: u32::from_le_bytes(header[..4].try_into().unwrap()),
+        name: raw.get(pos + 5..end)?,
+        span: pos..end,
+    })
+}
+
+/// The complete records of a directory image, in order. Iteration stops at
+/// an incomplete trailing record.
+fn dir_records(raw: &[u8]) -> impl Iterator<Item = DirRecord<'_>> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let r = dir_record_at(raw, pos)?;
+        pos = r.span.end;
+        Some(r)
+    })
+}
+
+/// The first live record of a directory image named `name`. Names compare
+/// as raw bytes, exactly.
+fn find_record<'a>(raw: &'a [u8], name: &str) -> Option<DirRecord<'a>> {
+    dir_records(raw).find(|r| r.is_live() && r.name == name.as_bytes())
+}
+
+/// Compacts a directory image in place to its live records, byte for byte
+/// and in order, leaving out the record that starts at `unlinked`. Free
+/// slots and an incomplete trailing record are dropped, so an edit writes
+/// back exactly the live entries. On an image of live records only this
+/// just walks the headers.
+fn compact_dir(raw: &mut Vec<u8>, unlinked: Option<usize>) {
+    let mut kept = 0;
+    let mut pos = 0;
+    while let Some(r) = dir_record_at(raw, pos) {
+        let keep = r.is_live() && Some(r.span.start) != unlinked;
+        let span = r.span;
+        if keep {
+            if kept != span.start {
+                raw.copy_within(span.clone(), kept);
+            }
+            kept += span.len();
+        }
+        pos = span.end;
+    }
+    raw.truncate(kept);
+}
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1000,5 +1070,173 @@ mod tests {
             fs.unlink(&mut dev, &format!("/pm{i}"), &mut w).unwrap();
         }
         assert_eq!(fs.readdir(&mut dev, "/", &mut w).unwrap().len(), 50);
+    }
+
+    /// A fixed Postmark-style script: 320 base files in one directory, then
+    /// 600 transactions (read or append, create or unlink), then delete
+    /// everything. Returns the work it booked.
+    fn postmark_script(cache_cap: usize) -> FsWork {
+        let mut dev = MemDisk::new(8192);
+        let mut fs = VgFs::mkfs(&mut dev, 1024);
+        fs.cache_cap = cache_cap;
+        let mut w = FsWork::default();
+        let mut seed = 0x5eed_cafe_u64;
+        let mut rand = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let path = |i: u32| format!("/pm/postmark-file-{i:05}");
+        fs.create(&mut dev, "/pm", InodeKind::Dir, &mut w).unwrap();
+        let mut live = Vec::new();
+        let mut next = 0;
+        let mut buf = vec![0u8; 12_000];
+        for _ in 0..320 {
+            let ino = fs
+                .create(&mut dev, &path(next), InodeKind::File, &mut w)
+                .unwrap();
+            let len = 500 + rand(9_500) as usize;
+            fs.write(&mut dev, ino, 0, &buf[..len], &mut w).unwrap();
+            live.push(next);
+            next += 1;
+        }
+        for _ in 0..600 {
+            let target = live[rand(live.len() as u64) as usize];
+            let ino = fs.lookup(&mut dev, &path(target), &mut w).unwrap();
+            if rand(2) == 0 {
+                fs.read(&mut dev, ino, 0, &mut buf, &mut w).unwrap();
+            } else {
+                let (size, _) = fs.stat(&mut dev, ino, &mut w).unwrap();
+                fs.write(&mut dev, ino, size, &[0x6d; 512], &mut w).unwrap();
+            }
+            if rand(2) == 0 {
+                let ino = fs
+                    .create(&mut dev, &path(next), InodeKind::File, &mut w)
+                    .unwrap();
+                let len = 500 + rand(9_500) as usize;
+                fs.write(&mut dev, ino, 0, &buf[..len], &mut w).unwrap();
+                live.push(next);
+                next += 1;
+            } else {
+                let victim = live.swap_remove(rand(live.len() as u64) as usize);
+                fs.unlink(&mut dev, &path(victim), &mut w).unwrap();
+            }
+        }
+        assert_eq!(
+            fs.readdir(&mut dev, "/pm", &mut w).unwrap().len(),
+            live.len()
+        );
+        for f in live {
+            fs.unlink(&mut dev, &path(f), &mut w).unwrap();
+        }
+        assert!(fs.readdir(&mut dev, "/pm", &mut w).unwrap().is_empty());
+        w
+    }
+
+    /// Pins the modelled cost of [`postmark_script`]. The totals were
+    /// recorded with the inode-at-a-time allocator and the parse/re-serialize
+    /// directory code; a host-side change to vgfs must leave them exactly as
+    /// they are, or it has changed what the simulator charges.
+    #[test]
+    fn postmark_script_fswork_is_pinned() {
+        let golden = |disk_reads, disk_writes| FsWork {
+            accesses: 4_011_866,
+            branches: 323_758,
+            disk_reads,
+            disk_writes,
+            bytes_copied: 23_122_361,
+        };
+        assert_eq!(postmark_script(4096), golden(615, 0));
+        assert_eq!(postmark_script(48), golden(2_010, 1_449));
+    }
+
+    /// Appends raw bytes to the root directory image, as a hostile OS with
+    /// raw disk access could.
+    fn tamper_root(fs: &mut VgFs, dev: &mut MemDisk, bytes: &[u8]) {
+        let mut w = FsWork::default();
+        let (size, _) = fs.stat(dev, ROOT_INO, &mut w).unwrap();
+        fs.write(dev, ROOT_INO, size, bytes, &mut w).unwrap();
+    }
+
+    fn root_image(fs: &mut VgFs, dev: &mut MemDisk) -> Vec<u8> {
+        let mut w = FsWork::default();
+        let (size, _) = fs.stat(dev, ROOT_INO, &mut w).unwrap();
+        let mut raw = vec![0; size as usize];
+        fs.read(dev, ROOT_INO, 0, &mut raw, &mut w).unwrap();
+        raw
+    }
+
+    fn record(ino: Ino, name: &[u8]) -> Vec<u8> {
+        let mut r = ino.0.to_le_bytes().to_vec();
+        r.push(name.len() as u8);
+        r.extend_from_slice(name);
+        r
+    }
+
+    #[test]
+    fn lookup_matches_raw_name_bytes_exactly() {
+        let (mut dev, mut fs) = fresh();
+        let mut w = FsWork::default();
+        let a = fs.create(&mut dev, "/a", InodeKind::File, &mut w).unwrap();
+        // A name that is not UTF-8 is not found under its lossy decoding.
+        tamper_root(&mut fs, &mut dev, &record(a, &[0xff]));
+        assert_eq!(
+            fs.lookup(&mut dev, "/\u{fffd}", &mut w),
+            Err(FsError::NotFound)
+        );
+        // A UTF-8 name is found under exactly its bytes, and a name that is
+        // only a prefix of a record's is not.
+        tamper_root(&mut fs, &mut dev, &record(a, "é".as_bytes()));
+        assert_eq!(fs.lookup(&mut dev, "/é", &mut w), Ok(a));
+        assert_eq!(
+            fs.lookup(&mut dev, "/\u{fffd}", &mut w),
+            Err(FsError::NotFound)
+        );
+        assert_eq!(
+            fs.create(&mut dev, "/é", InodeKind::File, &mut w),
+            Err(FsError::Exists)
+        );
+    }
+
+    #[test]
+    fn create_drops_an_incomplete_trailing_record() {
+        let (mut dev, mut fs) = fresh();
+        let mut w = FsWork::default();
+        let a = fs.create(&mut dev, "/a", InodeKind::File, &mut w).unwrap();
+        // A free slot, then a header that claims a 10-byte name but has
+        // only 1 byte after it.
+        tamper_root(&mut fs, &mut dev, &record(Ino(0), b"z"));
+        tamper_root(&mut fs, &mut dev, &[9, 0, 0, 0, 10, b'x']);
+        let b = fs.create(&mut dev, "/b", InodeKind::File, &mut w).unwrap();
+        assert_eq!(fs.lookup(&mut dev, "/b", &mut w), Ok(b));
+        let mut expect = record(a, b"a");
+        expect.extend(record(b, b"b"));
+        assert_eq!(root_image(&mut fs, &mut dev), expect);
+    }
+
+    #[test]
+    fn edits_never_rewrite_a_record_length() {
+        let (mut dev, mut fs) = fresh();
+        let mut w = FsWork::default();
+        let a = fs.create(&mut dev, "/a", InodeKind::File, &mut w).unwrap();
+        // 100 bytes that are not UTF-8: their lossy decoding is 300 bytes
+        // long, which no longer fits the record's length byte.
+        let hostile = record(Ino(7), &[0xff; 100]);
+        tamper_root(&mut fs, &mut dev, &hostile);
+        let b = fs.create(&mut dev, "/b", InodeKind::File, &mut w).unwrap();
+        let mut expect = record(a, b"a");
+        expect.extend(&hostile);
+        expect.extend(record(b, b"b"));
+        assert_eq!(root_image(&mut fs, &mut dev), expect);
+        assert_eq!(fs.lookup(&mut dev, "/b", &mut w), Ok(b));
+        let listed = fs.readdir(&mut dev, "/", &mut w).unwrap();
+        let inos: Vec<Ino> = listed.iter().map(|&(_, i)| i).collect();
+        assert_eq!(inos, vec![a, Ino(7), b]);
+        // Unlinking a neighbour leaves the hostile record's bytes as they are.
+        fs.unlink(&mut dev, "/a", &mut w).unwrap();
+        let mut expect = hostile.clone();
+        expect.extend(record(b, b"b"));
+        assert_eq!(root_image(&mut fs, &mut dev), expect);
     }
 }
