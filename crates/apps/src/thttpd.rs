@@ -3,7 +3,7 @@
 //!
 //! Two server architectures share the request/response format:
 //!
-//! * [`serve_all`]-style synchronous serving — accept a connection, read
+//! * `serve_all`-style synchronous serving — accept a connection, read
 //!   the request, respond with per-call `send`s, close. Kept verbatim (per
 //!   the Figure 2 driver) and extended with keep-alive support as
 //!   [`ServerKind::Sync`], the reference side of the C10K comparison.

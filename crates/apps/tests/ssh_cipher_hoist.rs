@@ -2,8 +2,8 @@
 //!
 //! The transfer loops in `crates/apps/src/ssh.rs` used to call the free
 //! `ctr_xor` once per chunk, re-running key expansion and the scalar round
-//! function every time. They now hoist one `Aes128` (T-table schedule,
-//! expanded once) out of the loop. This test replays the loop's chunk
+//! function every time. They now hoist one `Aes128` (key schedule expanded
+//! once, rounds on AES-NI or the T-tables) out of the loop. This test replays the loop's chunk
 //! pattern under both shapes and asserts the hoisted stream is measurably
 //! faster — a guard against the per-chunk pattern creeping back in.
 

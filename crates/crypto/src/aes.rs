@@ -10,17 +10,25 @@
 //!
 //! ## Data-plane layout
 //!
-//! The round function is the word-sliced (T-table) formulation: four const
-//! 256-entry `u32` tables fold SubBytes, ShiftRows, and MixColumns into one
-//! lookup + xor per state byte, with the decryption direction running the
-//! equivalent inverse cipher over InvMixColumns-transformed round keys
-//! ([`Aes128::new`] precomputes both schedules once; `decrypt_block` no
-//! longer rebuilds the inverse S-box per call). CTR keystream is generated
-//! four blocks (64 bytes) at a time. All tables are built by `const fn` at
-//! compile time from the S-box, so there is nothing to initialize at run
-//! time and outputs stay bit-identical to the textbook scalar
-//! implementation retained in [`crate::reference`] (proven by differential
-//! proptests in `tests/differential.rs`).
+//! [`Aes128::new`] expands the key once into two schedules: the encryption
+//! round keys and the InvMixColumns-transformed keys of the equivalent
+//! inverse cipher. Two round functions run over those same schedules, and
+//! `new` picks one per key, by a run-time CPU check:
+//!
+//! * **AES-NI** (x86-64 hosts whose CPU has it): `aesenc`/`aesenclast` and
+//!   `aesdec`/`aesdeclast`, with the schedules converted once into round-key
+//!   registers. The hardware rounds make no secret-indexed table loads.
+//! * **T-tables** (every other host): the word-sliced formulation, four
+//!   const 256-entry `u32` tables that fold SubBytes, ShiftRows, and
+//!   MixColumns into one lookup + xor per state byte. The tables are built
+//!   by `const fn` at compile time from the S-box, so there is nothing to
+//!   initialize at run time.
+//!
+//! CTR mode generates its keystream eight counter blocks (128 bytes) per
+//! batch through one loop shared by [`Aes128::ctr_xor`] and
+//! [`Aes128Ctr::xor`]. Both round functions are bit-identical to the
+//! textbook scalar implementation retained in [`crate::reference`], and to
+//! each other (differential proptests here and in `tests/differential.rs`).
 
 use crate::hmac::{HmacKey, HmacSha256};
 
@@ -135,9 +143,22 @@ fn inv_mix_word(w: u32) -> u32 {
         ^ TD3[SBOX[d as usize] as usize]
 }
 
+/// Keystream blocks generated per CTR batch: eight counter blocks (128
+/// bytes) in flight, enough to hide the AES-NI round latency.
+const BATCH: usize = 8;
+
+/// Bytes of keystream per CTR batch.
+const BATCH_BYTES: usize = 16 * BATCH;
+
 /// An expanded AES-128 key schedule: encryption round keys plus the
 /// InvMixColumns-transformed decryption schedule for the equivalent inverse
 /// cipher, both computed once at construction.
+///
+/// On x86-64 hosts with AES-NI the rounds run on the hardware instructions,
+/// over the same two schedules; elsewhere they run on the T-tables. The
+/// choice is made once in [`Aes128::new`] and never changes the output.
+///
+/// `Debug` prints only the backend, never key material.
 ///
 /// # Examples
 ///
@@ -148,7 +169,7 @@ fn inv_mix_word(w: u32) -> u32 {
 /// let ct = aes.encrypt_block([0u8; 16]);
 /// assert_eq!(aes.decrypt_block(ct), [0u8; 16]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Aes128 {
     /// Encryption round keys, as big-endian column words: `ek[4r + c]` is
     /// column `c` of round `r`.
@@ -156,6 +177,18 @@ pub struct Aes128 {
     /// Decryption round keys for the equivalent inverse cipher: reversed
     /// rounds, InvMixColumns applied to rounds 1..=9.
     dk: [u32; 44],
+    /// `ek` and `dk` as AES-NI registers; `None` when the CPU lacks AES-NI,
+    /// which selects the T-table rounds.
+    #[cfg(target_arch = "x86_64")]
+    ni: Option<ni::RoundKeys>,
+}
+
+impl std::fmt::Debug for Aes128 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Aes128")
+            .field("backend", &self.backend())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Aes128 {
@@ -182,11 +215,89 @@ impl Aes128 {
                 dk[4 * r + c] = inv_mix_word(ek[4 * (10 - r) + c]);
             }
         }
-        Aes128 { ek, dk }
+        Aes128 {
+            ek,
+            dk,
+            #[cfg(target_arch = "x86_64")]
+            ni: ni::RoundKeys::new(&ek, &dk),
+        }
+    }
+
+    /// Which round function this schedule runs on.
+    fn backend(&self) -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if self.ni.is_some() {
+            return "aes-ni";
+        }
+        "t-table"
     }
 
     /// Encrypts one 16-byte block.
     pub fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = &self.ni {
+            return ni.encrypt_block(block);
+        }
+        self.table_encrypt(block)
+    }
+
+    /// Decrypts one 16-byte block (equivalent inverse cipher over the
+    /// precomputed `dk` schedule — no per-call table building).
+    pub fn decrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = &self.ni {
+            return ni.decrypt_block(block);
+        }
+        self.table_decrypt(block)
+    }
+
+    /// XORs `data` in place with the CTR keystream for `nonce`, counter
+    /// starting at 0 — one pass over an already-expanded schedule.
+    ///
+    /// Equivalent to the free function [`ctr_xor`] minus the per-call key
+    /// expansion; loop-heavy callers (page sealing, SSH chunk transfer)
+    /// should hoist the [`Aes128`] and call this.
+    pub fn ctr_xor(&self, nonce: u64, data: &mut [u8]) {
+        self.xor_keystream(nonce, 0, data);
+    }
+
+    /// XORs `data` with the keystream whose first block is
+    /// `E(nonce ‖ counter)`, one batch at a time, and returns the counter of
+    /// the block after the last one touched (a partial final block counts).
+    /// The one CTR loop behind [`Aes128::ctr_xor`] and [`Aes128Ctr::xor`].
+    fn xor_keystream(&self, nonce: u64, mut counter: u64, data: &mut [u8]) -> u64 {
+        for chunk in data.chunks_mut(BATCH_BYTES) {
+            let blocks = chunk.len().div_ceil(16);
+            let ks = self.keystream(nonce, counter, blocks);
+            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+                *b ^= k;
+            }
+            counter = counter.wrapping_add(blocks as u64);
+        }
+        counter
+    }
+
+    /// One keystream batch: block `i < blocks` is `E(nonce ‖ counter + i)`,
+    /// with the counter wrapping at 2^64. `blocks` is 1..=[`BATCH`]; bytes
+    /// past the requested blocks are unspecified.
+    #[inline]
+    fn keystream(&self, nonce: u64, counter: u64, blocks: usize) -> [u8; BATCH_BYTES] {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = &self.ni {
+            return ni.keystream(nonce, counter);
+        }
+        let mut ks = [0u8; BATCH_BYTES];
+        for (i, out) in ks.chunks_exact_mut(16).take(blocks).enumerate() {
+            let mut block = [0u8; 16];
+            block[..8].copy_from_slice(&nonce.to_be_bytes());
+            block[8..].copy_from_slice(&counter.wrapping_add(i as u64).to_be_bytes());
+            out.copy_from_slice(&self.table_encrypt(block));
+        }
+        ks
+    }
+
+    /// T-table encryption: the round function on hosts without AES-NI.
+    fn table_encrypt(&self, block: [u8; 16]) -> [u8; 16] {
         let k = &self.ek;
         let mut s0 = load_be(&block, 0) ^ k[0];
         let mut s1 = load_be(&block, 4) ^ k[1];
@@ -207,9 +318,8 @@ impl Aes128 {
         out
     }
 
-    /// Decrypts one 16-byte block (equivalent inverse cipher over the
-    /// precomputed `dk` schedule — no per-call table building).
-    pub fn decrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
+    /// T-table decryption (equivalent inverse cipher over `dk`).
+    fn table_decrypt(&self, block: [u8; 16]) -> [u8; 16] {
         let k = &self.dk;
         let mut s0 = load_be(&block, 0) ^ k[0];
         let mut s1 = load_be(&block, 4) ^ k[1];
@@ -229,48 +339,142 @@ impl Aes128 {
         store_be(&mut out, 12, final_dec(s3, s2, s1, s0) ^ k[43]);
         out
     }
+}
 
-    /// XORs `data` in place with the CTR keystream for `nonce`, counter
-    /// starting at 0 — one pass over an already-expanded schedule.
-    ///
-    /// Equivalent to the free function [`ctr_xor`] minus the per-call key
-    /// expansion; loop-heavy callers (page sealing, SSH chunk transfer)
-    /// should hoist the [`Aes128`] and call this.
-    pub fn ctr_xor(&self, nonce: u64, data: &mut [u8]) {
-        let mut counter = 0u64;
-        let mut chunks = data.chunks_exact_mut(64);
-        for chunk in &mut chunks {
-            let ks = self.keystream4(nonce, counter);
-            counter = counter.wrapping_add(4);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
+/// The AES-NI round function. It adds no key schedule of its own: its
+/// round keys are the byte images of [`Aes128`]'s `ek` words, and its
+/// decryption keys are the `dk` words, which already hold the
+/// equivalent-inverse-cipher schedule `aesdec` expects. This module holds
+/// all of the crate's `unsafe`: calling a `#[target_feature(enable =
+/// "aes")]` function is sound only on a CPU with AES-NI, and a
+/// [`RoundKeys`] exists only after `is_x86_feature_detected!("aes")` said
+/// so.
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use super::{BATCH, BATCH_BYTES};
+    use std::arch::x86_64::{
+        __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
+        _mm_cvtsi128_si64, _mm_set_epi64x, _mm_setzero_si128, _mm_unpackhi_epi64, _mm_xor_si128,
+    };
+
+    /// Both schedules loaded as round-key registers.
+    #[derive(Clone, Copy)]
+    pub(super) struct RoundKeys {
+        enc: [__m128i; 11],
+        dec: [__m128i; 11],
+    }
+
+    impl RoundKeys {
+        /// Converts the two schedules, or returns `None` when the CPU
+        /// lacks AES-NI.
+        pub(super) fn new(ek: &[u32; 44], dk: &[u32; 44]) -> Option<Self> {
+            if !std::arch::is_x86_feature_detected!("aes") {
+                return None;
             }
+            // SAFETY: `is_x86_feature_detected!("aes")` returned true just above.
+            Some(unsafe { load_schedules(ek, dk) })
         }
-        for chunk in chunks.into_remainder().chunks_mut(16) {
-            let ks = self.keystream_block(nonce, counter);
-            counter = counter.wrapping_add(1);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
+
+        pub(super) fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
+            // SAFETY: `self` was built by `RoundKeys::new`, which returns a
+            // value only after `is_x86_feature_detected!("aes")` was true.
+            unsafe { encrypt(&self.enc, block) }
+        }
+
+        pub(super) fn decrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
+            // SAFETY: `self` was built by `RoundKeys::new`, which returns a
+            // value only after `is_x86_feature_detected!("aes")` was true.
+            unsafe { decrypt(&self.dec, block) }
+        }
+
+        /// All [`BATCH`] blocks of one keystream batch, always computed
+        /// together: the blocks are independent, so they pipeline.
+        pub(super) fn keystream(&self, nonce: u64, counter: u64) -> [u8; BATCH_BYTES] {
+            // SAFETY: `self` was built by `RoundKeys::new`, which returns a
+            // value only after `is_x86_feature_detected!("aes")` was true.
+            unsafe { keystream(&self.enc, nonce, counter) }
         }
     }
 
-    /// One keystream block: `E(nonce ‖ counter)`.
-    #[inline]
-    fn keystream_block(&self, nonce: u64, counter: u64) -> [u8; 16] {
-        let mut block = [0u8; 16];
-        block[..8].copy_from_slice(&nonce.to_be_bytes());
-        block[8..].copy_from_slice(&counter.to_be_bytes());
-        self.encrypt_block(block)
+    /// The 16 state bytes as a register (byte `i` in lane byte `i`).
+    #[target_feature(enable = "aes")]
+    fn load(b: [u8; 16]) -> __m128i {
+        let (lo, hi) = b.split_at(8);
+        _mm_set_epi64x(
+            i64::from_le_bytes(hi.try_into().expect("8 bytes")),
+            i64::from_le_bytes(lo.try_into().expect("8 bytes")),
+        )
     }
 
-    /// Four consecutive keystream blocks, batched into one 64-byte buffer.
-    #[inline]
-    fn keystream4(&self, nonce: u64, counter: u64) -> [u8; 64] {
-        let mut ks = [0u8; 64];
-        for i in 0..4 {
-            let block = self.keystream_block(nonce, counter.wrapping_add(i as u64));
-            ks[16 * i..16 * i + 16].copy_from_slice(&block);
+    #[target_feature(enable = "aes")]
+    fn store(x: __m128i) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        out[..8].copy_from_slice(&_mm_cvtsi128_si64(x).to_le_bytes());
+        out[8..].copy_from_slice(&_mm_cvtsi128_si64(_mm_unpackhi_epi64(x, x)).to_le_bytes());
+        out
+    }
+
+    #[target_feature(enable = "aes")]
+    fn load_schedules(ek: &[u32; 44], dk: &[u32; 44]) -> RoundKeys {
+        RoundKeys {
+            enc: load_schedule(ek),
+            dec: load_schedule(dk),
+        }
+    }
+
+    /// Round `r` of a schedule is the byte image of its big-endian words
+    /// `w[4r..4r + 4]`.
+    #[target_feature(enable = "aes")]
+    fn load_schedule(w: &[u32; 44]) -> [__m128i; 11] {
+        let mut keys = [_mm_setzero_si128(); 11];
+        for (key, words) in keys.iter_mut().zip(w.chunks_exact(4)) {
+            let mut bytes = [0u8; 16];
+            for (dst, word) in bytes.chunks_exact_mut(4).zip(words) {
+                dst.copy_from_slice(&word.to_be_bytes());
+            }
+            *key = load(bytes);
+        }
+        keys
+    }
+
+    #[target_feature(enable = "aes")]
+    fn encrypt(k: &[__m128i; 11], block: [u8; 16]) -> [u8; 16] {
+        let mut s = _mm_xor_si128(load(block), k[0]);
+        for rk in &k[1..10] {
+            s = _mm_aesenc_si128(s, *rk);
+        }
+        store(_mm_aesenclast_si128(s, k[10]))
+    }
+
+    #[target_feature(enable = "aes")]
+    fn decrypt(k: &[__m128i; 11], block: [u8; 16]) -> [u8; 16] {
+        let mut s = _mm_xor_si128(load(block), k[0]);
+        for rk in &k[1..10] {
+            s = _mm_aesdec_si128(s, *rk);
+        }
+        store(_mm_aesdeclast_si128(s, k[10]))
+    }
+
+    /// `E(nonce ‖ counter + i)` for `i` in `0..BATCH`, every round applied
+    /// to all blocks before the next round starts.
+    #[target_feature(enable = "aes")]
+    fn keystream(k: &[__m128i; 11], nonce: u64, counter: u64) -> [u8; BATCH_BYTES] {
+        // The counter block is `nonce` (low lane) then `counter` (high
+        // lane), both big-endian, so each lane holds the byte-swapped value.
+        let nonce = nonce.swap_bytes() as i64;
+        let mut s = [_mm_setzero_si128(); BATCH];
+        for (i, b) in s.iter_mut().enumerate() {
+            let ctr = counter.wrapping_add(i as u64).swap_bytes() as i64;
+            *b = _mm_xor_si128(_mm_set_epi64x(ctr, nonce), k[0]);
+        }
+        for rk in &k[1..10] {
+            for b in &mut s {
+                *b = _mm_aesenc_si128(*b, *rk);
+            }
+        }
+        let mut ks = [0u8; BATCH_BYTES];
+        for (out, b) in ks.chunks_exact_mut(16).zip(s) {
+            out.copy_from_slice(&store(_mm_aesenclast_si128(b, k[10])));
         }
         ks
     }
@@ -360,13 +564,24 @@ fn final_dec(a: u32, b: u32, c: u32, d: u32) -> u32 {
 /// ctr_xor(&[7u8; 16], 99, &mut oneshot);
 /// assert_eq!(streamed, oneshot);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Aes128Ctr {
     aes: Aes128,
     nonce: u64,
     counter: u64,
     ks: [u8; 16],
     ks_off: usize,
+}
+
+/// Prints the stream position, never the buffered keystream.
+impl std::fmt::Debug for Aes128Ctr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Aes128Ctr")
+            .field("aes", &self.aes)
+            .field("nonce", &self.nonce)
+            .field("counter", &self.counter)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Aes128Ctr {
@@ -392,7 +607,8 @@ impl Aes128Ctr {
     }
 
     /// XORs the next `data.len()` keystream bytes into `data`, advancing the
-    /// stream position. Full blocks are generated four at a time.
+    /// stream position. Full blocks go through the same batched keystream
+    /// loop as [`Aes128::ctr_xor`].
     pub fn xor(&mut self, data: &mut [u8]) {
         let mut data = data;
         // Drain keystream left over from a previous partial block.
@@ -405,27 +621,14 @@ impl Aes128Ctr {
             self.ks_off += take;
             data = rest;
         }
-        let mut chunks = data.chunks_exact_mut(64);
-        for chunk in &mut chunks {
-            let ks = self.aes.keystream4(self.nonce, self.counter);
-            self.counter = self.counter.wrapping_add(4);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
-        }
-        let tail = chunks.into_remainder();
-        let mut full = tail.chunks_exact_mut(16);
-        for chunk in &mut full {
-            let ks = self.aes.keystream_block(self.nonce, self.counter);
-            self.counter = self.counter.wrapping_add(1);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
-        }
-        let rem = full.into_remainder();
+        let (full, rem) = data.split_at_mut(data.len() & !15);
+        self.counter = self.aes.xor_keystream(self.nonce, self.counter, full);
         if !rem.is_empty() {
-            self.ks = self.aes.keystream_block(self.nonce, self.counter);
-            self.counter = self.counter.wrapping_add(1);
+            // Keep the whole block's keystream for the next call.
+            self.ks = [0u8; 16];
+            self.counter = self
+                .aes
+                .xor_keystream(self.nonce, self.counter, &mut self.ks);
             for (b, k) in rem.iter_mut().zip(self.ks.iter()) {
                 *b ^= k;
             }
@@ -700,6 +903,154 @@ mod tests {
             ctr.xor(&mut buf[..split]);
             ctr.xor(&mut buf[split..]);
             assert_eq!(buf, oneshot, "split at {split}");
+        }
+    }
+
+    /// The same key schedule on the T-table round function, whatever the
+    /// host CPU — the only path on hosts without AES-NI, kept under test on
+    /// hosts that have it.
+    fn table_backed(key: &[u8; 16]) -> Aes128 {
+        Aes128 {
+            #[cfg(target_arch = "x86_64")]
+            ni: None,
+            ..Aes128::new(key)
+        }
+    }
+
+    /// The backend `Aes128::new` picks on this host, then the T-table one.
+    fn backends(key: &[u8; 16]) -> [Aes128; 2] {
+        [Aes128::new(key), table_backed(key)]
+    }
+
+    /// `E(nonce ‖ counter + i)` keystream from the reference cipher, with
+    /// the counter wrapping at 2^64.
+    fn reference_ctr(key: &[u8; 16], nonce: u64, counter: u64, data: &mut [u8]) {
+        for (i, chunk) in data.chunks_mut(16).enumerate() {
+            let mut block = [0u8; 16];
+            block[..8].copy_from_slice(&nonce.to_be_bytes());
+            block[8..].copy_from_slice(&counter.wrapping_add(i as u64).to_be_bytes());
+            let ks = crate::reference::encrypt_block(key, block);
+            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+                *b ^= k;
+            }
+        }
+    }
+
+    /// Every length up to three batches plus 17 bytes, so every remainder
+    /// after an 8-block batch shows up.
+    const MAX_LEN: usize = 3 * BATCH_BYTES + 17;
+
+    proptest::proptest! {
+        #[test]
+        fn backends_match_reference_on_blocks(
+            key in proptest::prelude::any::<[u8; 16]>(),
+            block in proptest::prelude::any::<[u8; 16]>(),
+        ) {
+            let ct = crate::reference::encrypt_block(&key, block);
+            let pt = crate::reference::decrypt_block(&key, block);
+            for aes in backends(&key) {
+                proptest::prop_assert_eq!(aes.encrypt_block(block), ct);
+                proptest::prop_assert_eq!(aes.decrypt_block(block), pt);
+            }
+        }
+
+        #[test]
+        fn backends_match_reference_on_ctr(
+            key in proptest::prelude::any::<[u8; 16]>(),
+            nonce in proptest::prelude::any::<u64>(),
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..MAX_LEN + 1),
+        ) {
+            let mut expect = data.clone();
+            crate::reference::ctr_xor(&key, nonce, &mut expect);
+            for aes in backends(&key) {
+                let mut got = data.clone();
+                aes.ctr_xor(nonce, &mut got);
+                proptest::prop_assert_eq!(&got, &expect);
+            }
+        }
+
+        #[test]
+        fn counter_wraps_inside_a_batch(
+            key in proptest::prelude::any::<[u8; 16]>(),
+            nonce in proptest::prelude::any::<u64>(),
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..MAX_LEN + 1),
+            splits in proptest::collection::vec(0usize..MAX_LEN + 1, 0..6),
+        ) {
+            let start = u64::MAX - 3;
+            let mut expect = data.clone();
+            reference_ctr(&key, nonce, start, &mut expect);
+            let mut cuts: Vec<usize> = splits.iter().map(|s| s % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            for aes in backends(&key) {
+                let mut got = data.clone();
+                let mut stream = Aes128Ctr::with_counter(&aes, nonce, start);
+                let mut prev = 0;
+                for &cut in &cuts {
+                    stream.xor(&mut got[prev..cut]);
+                    prev = cut;
+                }
+                stream.xor(&mut got[prev..]);
+                proptest::prop_assert_eq!(&got, &expect);
+            }
+        }
+    }
+
+    #[test]
+    fn backends_match_reference_at_every_length() {
+        let key: [u8; 16] = core::array::from_fn(|i| (i * 37 + 5) as u8);
+        let data: Vec<u8> = (0..MAX_LEN).map(|i| (i * 7) as u8).collect();
+        for nonce in [0, 1, u64::MAX] {
+            for len in 0..=MAX_LEN {
+                let mut expect = data[..len].to_vec();
+                crate::reference::ctr_xor(&key, nonce, &mut expect);
+                for aes in backends(&key) {
+                    let mut got = data[..len].to_vec();
+                    aes.ctr_xor(nonce, &mut got);
+                    assert_eq!(got, expect, "len {len}, nonce {nonce}, {aes:?}");
+                }
+            }
+        }
+    }
+
+    /// A silent fallback to the T-tables passes every correctness test, so
+    /// pin the selection itself.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn new_picks_aes_ni_when_the_cpu_has_it() {
+        let has_aes = std::arch::is_x86_feature_detected!("aes");
+        let aes = Aes128::new(&[9; 16]);
+        assert_eq!(aes.ni.is_some(), has_aes);
+        let name = if has_aes { "aes-ni" } else { "t-table" };
+        assert_eq!(
+            format!("{aes:?}"),
+            format!("Aes128 {{ backend: {name:?}, .. }}")
+        );
+        assert!(table_backed(&[9; 16]).ni.is_none());
+    }
+
+    #[test]
+    fn debug_never_prints_key_material() {
+        let key = [
+            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
+            0x4f, 0x3c,
+        ];
+        let aes = Aes128::new(&key);
+        let mut ctr = Aes128Ctr::new(&aes, 5);
+        ctr.xor(&mut [0u8; 3]);
+        let shown = [
+            format!("{aes:?}"),
+            format!("{aes:#?}"),
+            format!("{:?}", table_backed(&key)),
+            format!("{ctr:?}"),
+        ];
+        for dbg in &shown {
+            // ek[0..4] is the raw key.
+            for w in &aes.ek[..4] {
+                assert!(!dbg.contains(&w.to_string()), "{dbg}");
+                assert!(!dbg.contains(&format!("{w:x}")), "{dbg}");
+            }
+            assert!(!dbg.contains(&format!("{key:?}")), "{dbg}");
+            assert!(!dbg.contains(&format!("{:?}", ctr.ks)), "{dbg}");
         }
     }
 

@@ -25,10 +25,17 @@ const BLOCK: usize = 64;
 /// let key = HmacKey::new(b"key");
 /// assert_eq!(key.mac(b"msg"), HmacSha256::mac(b"key", b"msg"));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HmacKey {
     inner0: Sha256,
     outer0: Sha256,
+}
+
+/// The midstates are as good as the key, so `Debug` prints neither.
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HmacKey").finish_non_exhaustive()
+    }
 }
 
 impl HmacKey {
@@ -89,10 +96,17 @@ impl HmacKey {
 /// assert!(HmacSha256::verify(b"key", b"the quick brown fox", &tag));
 /// assert!(!HmacSha256::verify(b"key", b"tampered", &tag));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
     outer0: Sha256,
+}
+
+/// Redacted like [`HmacKey`]: `outer0` is the key's opad midstate.
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HmacSha256").finish_non_exhaustive()
+    }
 }
 
 impl HmacSha256 {
@@ -151,6 +165,18 @@ fn verify_tag(expect: &[u8; 32], tag: &[u8]) -> bool {
 mod tests {
     use super::*;
     use crate::sha256::hex;
+
+    #[test]
+    fn debug_never_prints_key_material() {
+        let key = HmacKey::new(&[0x5a; 16]);
+        let dbg = format!("{key:?} {key:#?} {:?}", key.hasher());
+        // Either midstate is as good as the key.
+        for midstate in [&key.inner0, &key.outer0] {
+            assert!(!dbg.contains(&format!("{midstate:?}")), "{dbg}");
+        }
+        assert!(!dbg.contains(&format!("{:?}", [0x5au8; 16])), "{dbg}");
+        assert_eq!(format!("{key:?}"), "HmacKey { .. }");
+    }
 
     // RFC 4231 test vectors. The full case 1–7 table (including truncation)
     // lives in tests/vectors.rs; these cover the basic shapes in-module.

@@ -12,12 +12,14 @@
 //! * [`sha256`] — SHA-256 (FIPS 180-4, unrolled multi-block compress) and
 //!   [`hmac`] — HMAC-SHA256 (RFC 2104) with precomputed per-key midstates
 //!   ([`hmac::HmacKey`]).
-//! * [`aes`] — AES-128 block cipher (FIPS 197, compile-time T-tables) with
+//! * [`aes`] — AES-128 block cipher (FIPS 197) on AES-NI where the CPU has
+//!   it and on compile-time T-tables elsewhere, chosen once per key, with
 //!   batched CTR mode ([`aes::Aes128Ctr`]) and an encrypt-then-MAC
 //!   [`aes::SealedBox`] used for ghost page swapping.
-//! * [`reference`] — the retained textbook scalar implementations; the
-//!   optimized data plane is proven bit-identical to them by differential
-//!   proptests (`tests/differential.rs`).
+//! * [`reference`](mod@reference) — the retained textbook scalar
+//!   implementations; both AES round functions and the rest of the
+//!   optimized data plane are proven bit-identical to them by differential
+//!   proptests (`tests/differential.rs` and the unit tests in `aes.rs`).
 //! * [`bignum`] — arbitrary-precision unsigned arithmetic with modular
 //!   exponentiation and Miller–Rabin primality testing.
 //! * [`rsa`] — RSA key generation, encryption and signatures built on

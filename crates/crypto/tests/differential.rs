@@ -1,7 +1,9 @@
-//! Differential proptests: the optimized crypto data plane (T-table AES,
-//! batched CTR, unrolled multi-block SHA-256, HMAC midstates, sealed boxes)
-//! must be bit-identical to the retained textbook scalar implementations in
-//! `vg_crypto::reference` on arbitrary inputs.
+//! Differential proptests: the optimized crypto data plane (AES on the
+//! backend `Aes128::new` picks for this host — AES-NI where the CPU has it,
+//! T-tables elsewhere — batched CTR, unrolled multi-block SHA-256, HMAC
+//! midstates, sealed boxes) must be bit-identical to the retained textbook
+//! scalar implementations in `vg_crypto::reference` on arbitrary inputs.
+//! The unit tests in `src/aes.rs` run both AES backends on every host.
 //!
 //! CI runs this file as an explicit step, mirroring the interpreter's
 //! engine-equivalence gate.

@@ -268,7 +268,7 @@ pub enum FInst {
     },
     /// Direct call to function `callee` of the same module.
     Call {
-        /// Result slot ([`NO_SLOT`](crate::lower::NO_SLOT) if unused).
+        /// Result slot ([`NO_SLOT`] if unused).
         dst: u32,
         /// Callee function index.
         callee: u32,
@@ -277,7 +277,7 @@ pub enum FInst {
     },
     /// Indirect call through the code address in `slot[target]`.
     CallIndirect {
-        /// Result slot ([`NO_SLOT`](crate::lower::NO_SLOT) if unused).
+        /// Result slot ([`NO_SLOT`] if unused).
         dst: u32,
         /// Target address slot.
         target: u32,
@@ -288,7 +288,7 @@ pub enum FInst {
     },
     /// Host call by interned extern id.
     Extern {
-        /// Result slot ([`NO_SLOT`](crate::lower::NO_SLOT) if unused).
+        /// Result slot ([`NO_SLOT`] if unused).
         dst: u32,
         /// Interned extern id.
         ext: u32,
@@ -297,7 +297,7 @@ pub enum FInst {
     },
     /// One-argument host call.
     Extern1 {
-        /// Result slot ([`NO_SLOT`](crate::lower::NO_SLOT) if unused).
+        /// Result slot ([`NO_SLOT`] if unused).
         dst: u32,
         /// Interned extern id.
         ext: u32,
@@ -306,7 +306,7 @@ pub enum FInst {
     },
     /// Two-argument host call.
     Extern2 {
-        /// Result slot ([`NO_SLOT`](crate::lower::NO_SLOT) if unused).
+        /// Result slot ([`NO_SLOT`] if unused).
         dst: u32,
         /// Interned extern id.
         ext: u32,
@@ -352,9 +352,9 @@ pub enum FInst {
         /// Target fused pc when zero.
         else_pc: u32,
     },
-    /// Return `slot[src]` ([`NO_SLOT`](crate::lower::NO_SLOT) returns 0).
+    /// Return `slot[src]` ([`NO_SLOT`] returns 0).
     Ret {
-        /// Value slot or [`NO_SLOT`](crate::lower::NO_SLOT).
+        /// Value slot or [`NO_SLOT`].
         src: u32,
     },
 }
