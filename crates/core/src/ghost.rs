@@ -13,7 +13,7 @@ use crate::{ProcId, SvaError, SvaVm};
 use std::collections::{BTreeMap, HashMap};
 use vg_machine::layout::{Region, PAGE_SIZE};
 use vg_machine::pte::{Pte, PteFlags};
-use vg_machine::{Domain, Machine, Pfn, TraceEvent, VAddr};
+use vg_machine::{Domain, Instrumented, Machine, Pfn, Scope, TraceEvent, VAddr};
 
 /// Tracks which ghost pages each process owns.
 #[derive(Debug, Default)]
@@ -88,35 +88,33 @@ impl SvaVm {
                 return Err(SvaError::FrameInUse);
             }
         }
-        let t0 = machine.clock.cycles();
-        for (i, &f) in frames.iter().enumerate() {
-            machine.prof_push(Domain::Sva, "sva.allocgm");
-            machine.charge(machine.costs.ghost_page_op + machine.costs.frame_zero);
-            machine.prof_pop();
-            machine.counters.ghost_pages_allocated += 1;
-            machine.phys.zero_frame(f);
-            self.frames.set_kind(f, FrameKind::Ghost);
-            let page_va = VAddr(va.0 + i as u64 * PAGE_SIZE);
-            self.map_page_unchecked(
-                machine,
-                root,
-                page_va,
-                Pte::new(f, PteFlags::user_rw()),
-                FrameKind::PageTable,
-            )?;
-            machine.tlb_flush_page(page_va.vpn());
-            self.ghost
-                .pages
-                .entry(proc)
-                .or_default()
-                .insert(page_va.vpn().0, f);
-            machine.trace_emit(TraceEvent::GhostAlloc {
-                va: page_va.0,
-                pfn: f.0,
-            });
-        }
-        machine.trace_complete("sva", "sva.allocgm", t0);
-        Ok(())
+        machine.scope(Scope::new(Domain::Sva, "sva.allocgm"), |machine| {
+            for (i, &f) in frames.iter().enumerate() {
+                machine.charge(machine.costs.ghost_page_op + machine.costs.frame_zero);
+                machine.counters.ghost_pages_allocated += 1;
+                machine.phys.zero_frame(f);
+                self.frames.set_kind(f, FrameKind::Ghost);
+                let page_va = VAddr(va.0 + i as u64 * PAGE_SIZE);
+                self.map_page_unchecked(
+                    machine,
+                    root,
+                    page_va,
+                    Pte::new(f, PteFlags::user_rw()),
+                    FrameKind::PageTable,
+                )?;
+                machine.tlb_flush_page(page_va.vpn());
+                self.ghost
+                    .pages
+                    .entry(proc)
+                    .or_default()
+                    .insert(page_va.vpn().0, f);
+                machine.trace_emit(TraceEvent::GhostAlloc {
+                    va: page_va.0,
+                    pfn: f.0,
+                });
+            }
+            Ok(())
+        })
     }
 
     /// `freegm(va, num)`: unmaps `num` ghost pages starting at `va`, zeroes
@@ -149,33 +147,31 @@ impl SvaVm {
                 return Err(SvaError::NotGhostMapped);
             }
         }
-        let t0 = machine.clock.cycles();
-        let mut freed = Vec::with_capacity(num as usize);
-        for i in 0..num {
-            machine.prof_push(Domain::Sva, "sva.freegm");
-            machine.charge(machine.costs.ghost_page_op + machine.costs.frame_zero);
-            machine.prof_pop();
-            machine.counters.ghost_pages_freed += 1;
-            let vpn = base_vpn + i;
-            let pfn = self
-                .ghost
-                .pages
-                .get_mut(&proc)
-                .unwrap()
-                .remove(&vpn)
-                .unwrap();
-            self.unmap_page_unchecked(machine, root, VAddr(vpn * PAGE_SIZE));
-            machine.tlb_flush_page(vg_machine::Vpn(vpn));
-            machine.phys.zero_frame(pfn);
-            self.frames.set_kind(pfn, FrameKind::Regular);
-            machine.trace_emit(TraceEvent::GhostFree {
-                va: vpn * PAGE_SIZE,
-                pfn: pfn.0,
-            });
-            freed.push(pfn);
-        }
-        machine.trace_complete("sva", "sva.freegm", t0);
-        Ok(freed)
+        machine.scope(Scope::new(Domain::Sva, "sva.freegm"), |machine| {
+            let mut freed = Vec::with_capacity(num as usize);
+            for i in 0..num {
+                machine.charge(machine.costs.ghost_page_op + machine.costs.frame_zero);
+                machine.counters.ghost_pages_freed += 1;
+                let vpn = base_vpn + i;
+                let pfn = self
+                    .ghost
+                    .pages
+                    .get_mut(&proc)
+                    .unwrap()
+                    .remove(&vpn)
+                    .unwrap();
+                self.unmap_page_unchecked(machine, root, VAddr(vpn * PAGE_SIZE));
+                machine.tlb_flush_page(vg_machine::Vpn(vpn));
+                machine.phys.zero_frame(pfn);
+                self.frames.set_kind(pfn, FrameKind::Regular);
+                machine.trace_emit(TraceEvent::GhostFree {
+                    va: vpn * PAGE_SIZE,
+                    pfn: pfn.0,
+                });
+                freed.push(pfn);
+            }
+            Ok(freed)
+        })
     }
 
     /// Tears down all ghost memory of a process (exit, or `exec` per §4.6.2:
@@ -191,25 +187,23 @@ impl SvaVm {
         let Some(pages) = self.ghost.pages.remove(&proc) else {
             return Vec::new();
         };
-        let t0 = machine.clock.cycles();
-        let mut freed = Vec::with_capacity(pages.len());
-        for (vpn, pfn) in pages {
-            machine.prof_push(Domain::Sva, "sva.release_ghost");
-            machine.charge(machine.costs.ghost_page_op + machine.costs.frame_zero);
-            machine.prof_pop();
-            machine.counters.ghost_pages_freed += 1;
-            self.unmap_page_unchecked(machine, root, VAddr(vpn * PAGE_SIZE));
-            machine.tlb_flush_page(vg_machine::Vpn(vpn));
-            machine.phys.zero_frame(pfn);
-            self.frames.set_kind(pfn, FrameKind::Regular);
-            machine.trace_emit(TraceEvent::GhostFree {
-                va: vpn * PAGE_SIZE,
-                pfn: pfn.0,
-            });
-            freed.push(pfn);
-        }
-        machine.trace_complete("sva", "sva.release_ghost", t0);
-        freed
+        machine.scope(Scope::new(Domain::Sva, "sva.release_ghost"), |machine| {
+            let mut freed = Vec::with_capacity(pages.len());
+            for (vpn, pfn) in pages {
+                machine.charge(machine.costs.ghost_page_op + machine.costs.frame_zero);
+                machine.counters.ghost_pages_freed += 1;
+                self.unmap_page_unchecked(machine, root, VAddr(vpn * PAGE_SIZE));
+                machine.tlb_flush_page(vg_machine::Vpn(vpn));
+                machine.phys.zero_frame(pfn);
+                self.frames.set_kind(pfn, FrameKind::Regular);
+                machine.trace_emit(TraceEvent::GhostFree {
+                    va: vpn * PAGE_SIZE,
+                    pfn: pfn.0,
+                });
+                freed.push(pfn);
+            }
+            freed
+        })
     }
 }
 

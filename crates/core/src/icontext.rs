@@ -20,7 +20,7 @@
 use crate::{ProcId, SvaError, SvaVm, ThreadId};
 use std::collections::{HashMap, HashSet};
 use vg_machine::cpu::{Privilege, Reg, TrapFrame, TrapKind};
-use vg_machine::{DenialKind, Domain, Machine, TraceEvent, VAddr};
+use vg_machine::{DenialKind, Domain, Instrumented, Machine, Scope, TraceEvent, VAddr};
 
 /// Trace span name and payload for a trap kind.
 fn trap_trace_parts(kind: TrapKind) -> (&'static str, u64) {
@@ -129,15 +129,13 @@ impl SvaVm {
     /// registers the OS does not need.
     pub fn trap_enter(&mut self, machine: &mut Machine, thread: ThreadId, kind: TrapKind) {
         let (trap_name, detail) = trap_trace_parts(kind);
-        machine.trace_begin("trap", trap_name, detail);
         machine.trace_emit(TraceEvent::TrapEnter {
             kind: trap_name,
             detail,
         });
         machine.counters.traps += 1;
-        machine.prof_push(Domain::Trap, trap_name);
-        machine.charge(machine.costs.trap_entry + machine.costs.ic_save);
-        machine.prof_pop();
+        let cost = machine.costs.trap_entry + machine.costs.ic_save;
+        machine.charge_in(Domain::Trap, trap_name, cost);
         let frame = machine.cpu.take_trap(kind);
         self.ic
             .stacks
@@ -158,9 +156,8 @@ impl SvaVm {
     ///
     /// [`IcError::NoContext`] if the thread has no pending trap.
     pub fn trap_return(&mut self, machine: &mut Machine, thread: ThreadId) -> Result<(), SvaError> {
-        machine.prof_push(Domain::Trap, "trap_return");
-        machine.charge(machine.costs.trap_exit + machine.costs.ic_restore);
-        machine.prof_pop();
+        let cost = machine.costs.trap_exit + machine.costs.ic_restore;
+        machine.charge_in(Domain::Trap, "trap_return", cost);
         let ic = self
             .ic
             .stacks
@@ -168,9 +165,7 @@ impl SvaVm {
             .and_then(|s| s.pop())
             .ok_or(SvaError::Ic(IcError::NoContext))?;
         machine.cpu.resume(&ic.frame);
-        let (trap_name, _) = trap_trace_parts(ic.frame.kind);
         machine.trace_emit(TraceEvent::TrapExit);
-        machine.trace_end("trap", trap_name);
         Ok(())
     }
 
@@ -233,20 +228,18 @@ impl SvaVm {
         machine: &mut Machine,
         thread: ThreadId,
     ) -> Result<(), SvaError> {
-        let t0 = machine.clock.cycles();
-        machine.prof_push(Domain::Sva, "sva.icontext.save");
-        machine.charge(machine.costs.ic_save / 8 + 20);
-        machine.prof_pop();
-        let top = self
-            .ic
-            .stacks
-            .get(&thread)
-            .and_then(|s| s.last())
-            .cloned()
-            .ok_or(SvaError::Ic(IcError::NoContext))?;
-        self.ic.saved.entry(thread).or_default().push(top);
-        machine.trace_complete("sva", "sva.icontext.save", t0);
-        Ok(())
+        machine.scope(Scope::new(Domain::Sva, "sva.icontext.save"), |machine| {
+            machine.charge(machine.costs.ic_save / 8 + 20);
+            let top = self
+                .ic
+                .stacks
+                .get(&thread)
+                .and_then(|s| s.last())
+                .cloned()
+                .ok_or(SvaError::Ic(IcError::NoContext))?;
+            self.ic.saved.entry(thread).or_default().push(top);
+            Ok(())
+        })
     }
 
     /// `sva.icontext.load`: restores the most recently saved IC into the
@@ -261,19 +254,17 @@ impl SvaVm {
         machine: &mut Machine,
         thread: ThreadId,
     ) -> Result<(), SvaError> {
-        let t0 = machine.clock.cycles();
-        machine.prof_push(Domain::Sva, "sva.icontext.load");
-        machine.charge(machine.costs.ic_restore / 8 + 20);
-        machine.prof_pop();
-        let saved = self
-            .ic
-            .saved
-            .get_mut(&thread)
-            .and_then(|s| s.pop())
-            .ok_or(SvaError::Ic(IcError::NothingSaved))?;
-        *self.ic_top_mut(thread)? = saved;
-        machine.trace_complete("sva", "sva.icontext.load", t0);
-        Ok(())
+        machine.scope(Scope::new(Domain::Sva, "sva.icontext.load"), |machine| {
+            machine.charge(machine.costs.ic_restore / 8 + 20);
+            let saved = self
+                .ic
+                .saved
+                .get_mut(&thread)
+                .and_then(|s| s.pop())
+                .ok_or(SvaError::Ic(IcError::NothingSaved))?;
+            *self.ic_top_mut(thread)? = saved;
+            Ok(())
+        })
     }
 
     /// `sva.ipush.function`: rewrites the thread's top IC so that resuming
@@ -294,32 +285,30 @@ impl SvaVm {
         handler: u64,
         arg: u64,
     ) -> Result<(), SvaError> {
-        let t0 = machine.clock.cycles();
-        machine.prof_push(Domain::Sva, "sva.ipush.function");
-        machine.charge(machine.costs.ic_save / 2 + 60);
-        machine.prof_pop();
-        if self.ic.protected {
-            let permitted = self
-                .ic
-                .permits
-                .get(&proc)
-                .is_some_and(|set| set.contains(&handler));
-            if !permitted {
-                machine.record_denial(
-                    DenialKind::IcPermitDenied,
-                    handler,
-                    "sva.ipush.function: handler not registered via sva.permitFunction",
-                );
-                machine.trace_emit(TraceEvent::IcDenied { addr: handler });
-                return Err(SvaError::Ic(IcError::PermitDenied { addr: handler }));
+        machine.scope(Scope::new(Domain::Sva, "sva.ipush.function"), |machine| {
+            machine.charge(machine.costs.ic_save / 2 + 60);
+            if self.ic.protected {
+                let permitted = self
+                    .ic
+                    .permits
+                    .get(&proc)
+                    .is_some_and(|set| set.contains(&handler));
+                if !permitted {
+                    machine.record_denial(
+                        DenialKind::IcPermitDenied,
+                        handler,
+                        "sva.ipush.function: handler not registered via sva.permitFunction",
+                    );
+                    machine.trace_emit(TraceEvent::IcDenied { addr: handler });
+                    return Err(SvaError::Ic(IcError::PermitDenied { addr: handler }));
+                }
             }
-        }
-        let ic = self.ic_top_mut(thread)?;
-        ic.frame.rip = handler;
-        ic.frame.gprs[Reg::Rdi as usize] = arg;
-        ic.frame.privilege = Privilege::User;
-        machine.trace_complete("sva", "sva.ipush.function", t0);
-        Ok(())
+            let ic = self.ic_top_mut(thread)?;
+            ic.frame.rip = handler;
+            ic.frame.gprs[Reg::Rdi as usize] = arg;
+            ic.frame.privilege = Privilege::User;
+            Ok(())
+        })
     }
 
     /// `sva.newstate`: creates the initial IC for a new thread as a clone of
@@ -336,20 +325,18 @@ impl SvaVm {
         new_thread: ThreadId,
         from_thread: ThreadId,
     ) -> Result<(), SvaError> {
-        let t0 = machine.clock.cycles();
-        machine.prof_push(Domain::Sva, "sva.newstate");
-        machine.charge(machine.costs.ic_save + 100);
-        machine.prof_pop();
-        let top = self
-            .ic
-            .stacks
-            .get(&from_thread)
-            .and_then(|s| s.last())
-            .cloned()
-            .ok_or(SvaError::Ic(IcError::NoContext))?;
-        self.ic.stacks.insert(new_thread, vec![top]);
-        machine.trace_complete("sva", "sva.newstate", t0);
-        Ok(())
+        machine.scope(Scope::new(Domain::Sva, "sva.newstate"), |machine| {
+            machine.charge(machine.costs.ic_save + 100);
+            let top = self
+                .ic
+                .stacks
+                .get(&from_thread)
+                .and_then(|s| s.last())
+                .cloned()
+                .ok_or(SvaError::Ic(IcError::NoContext))?;
+            self.ic.stacks.insert(new_thread, vec![top]);
+            Ok(())
+        })
     }
 
     /// `sva.newstate` for kernel threads: like
@@ -416,22 +403,20 @@ impl SvaVm {
         entry: VAddr,
         stack: VAddr,
     ) -> Result<(), SvaError> {
-        let t0 = machine.clock.cycles();
-        machine.prof_push(Domain::Sva, "sva.reinit.icontext");
-        machine.charge(machine.costs.ic_save + 100);
-        machine.prof_pop();
-        self.ic.clear_permits(proc);
-        let ic = self.ic_top_mut(thread)?;
-        ic.frame = TrapFrame {
-            gprs: [0; vg_machine::cpu::NUM_GPRS],
-            rip: entry.0,
-            rflags: 0,
-            privilege: Privilege::User,
-            kind: ic.frame.kind,
-        };
-        ic.frame.gprs[Reg::Rsp as usize] = stack.0;
-        machine.trace_complete("sva", "sva.reinit.icontext", t0);
-        Ok(())
+        machine.scope(Scope::new(Domain::Sva, "sva.reinit.icontext"), |machine| {
+            machine.charge(machine.costs.ic_save + 100);
+            self.ic.clear_permits(proc);
+            let ic = self.ic_top_mut(thread)?;
+            ic.frame = TrapFrame {
+                gprs: [0; vg_machine::cpu::NUM_GPRS],
+                rip: entry.0,
+                rflags: 0,
+                privilege: Privilege::User,
+                kind: ic.frame.kind,
+            };
+            ic.frame.gprs[Reg::Rsp as usize] = stack.0;
+            Ok(())
+        })
     }
 
     fn ic_top_mut(&mut self, thread: ThreadId) -> Result<&mut InterruptContext, SvaError> {

@@ -39,9 +39,7 @@ impl SvaVm {
     /// [`SvaError::DmaProtected`] under Virtual Ghost if the frame backs
     /// ghost memory, SVA-internal memory, or a page table.
     pub fn sva_iommu_map(&mut self, machine: &mut Machine, pfn: Pfn) -> Result<(), SvaError> {
-        machine.prof_push(Domain::Sva, "sva.iommu_map");
-        machine.charge(machine.costs.io_check + 30);
-        machine.prof_pop();
+        machine.charge_in(Domain::Sva, "sva.iommu_map", machine.costs.io_check + 30);
         if self.protections.dma_checks {
             match self.frames.kind(pfn) {
                 FrameKind::Ghost | FrameKind::SvaInternal | FrameKind::PageTable => {
@@ -62,9 +60,7 @@ impl SvaVm {
     /// Removes `pfn` from the DMA-visible set (always permitted —
     /// tightening DMA exposure cannot violate confidentiality).
     pub fn sva_iommu_unmap(&mut self, machine: &mut Machine, pfn: Pfn) {
-        machine.prof_push(Domain::Sva, "sva.iommu_unmap");
-        machine.charge(machine.costs.io_check + 30);
-        machine.prof_pop();
+        machine.charge_in(Domain::Sva, "sva.iommu_unmap", machine.costs.io_check + 30);
         machine.iommu.unmap(pfn);
     }
 
@@ -83,9 +79,7 @@ impl SvaVm {
         port: u16,
         value: u64,
     ) -> Result<(), SvaError> {
-        machine.prof_push(Domain::Sva, "sva.port_write");
-        machine.charge(machine.costs.io_check + 20);
-        machine.prof_pop();
+        machine.charge_in(Domain::Sva, "sva.port_write", machine.costs.io_check + 20);
         if port == IOMMU_CONFIG_PORT {
             if self.protections.dma_checks {
                 return Err(SvaError::PortProtected);
@@ -106,9 +100,7 @@ impl SvaVm {
     ///
     /// [`SvaError::PortProtected`] for protected ports under Virtual Ghost.
     pub fn sva_port_read(&mut self, machine: &mut Machine, port: u16) -> Result<u64, SvaError> {
-        machine.prof_push(Domain::Sva, "sva.port_read");
-        machine.charge(machine.costs.io_check + 20);
-        machine.prof_pop();
+        machine.charge_in(Domain::Sva, "sva.port_read", machine.costs.io_check + 20);
         if port == IOMMU_CONFIG_PORT && self.protections.dma_checks {
             return Err(SvaError::PortProtected);
         }

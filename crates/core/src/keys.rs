@@ -164,9 +164,11 @@ impl SvaVm {
         binary: &AppBinary,
         presented_code_digest: [u8; 32],
     ) -> Result<(), SvaError> {
-        machine.prof_push(Domain::Crypto, "key_unwrap");
-        machine.charge(machine.costs.sha_per_block * 8 + machine.costs.aes_per_block * 4);
-        machine.prof_pop();
+        machine.charge_in(
+            Domain::Crypto,
+            "key_unwrap",
+            machine.costs.sha_per_block * 8 + machine.costs.aes_per_block * 4,
+        );
         if machine.fault_check(vg_machine::FaultClass::TpmFail) {
             return Err(SvaError::Key(KeyError::TpmFailure));
         }
@@ -232,9 +234,7 @@ impl SvaVm {
         proc: ProcId,
         slot: u64,
     ) -> Result<u64, SvaError> {
-        machine.prof_push(Domain::Sva, "sva.version.bump");
-        machine.charge(160);
-        machine.prof_pop();
+        machine.charge_in(Domain::Sva, "sva.version.bump", 160);
         let key = *self
             .keys
             .app_keys

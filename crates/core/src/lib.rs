@@ -268,9 +268,7 @@ impl SvaVm {
     /// through the SVA path, defeating Iago attacks that serve fixed
     /// "randomness" from `/dev/random`.
     pub fn sva_random(&mut self, machine: &mut Machine) -> u64 {
-        machine.prof_push(vg_machine::Domain::Sva, "sva.random");
-        machine.charge(40);
-        machine.prof_pop();
+        machine.charge_in(vg_machine::Domain::Sva, "sva.random", 40);
         self.rng.next_u64()
     }
 

@@ -75,9 +75,7 @@ impl SvaVm {
     ///
     /// [`SvaError::OutOfFrames`] if physical memory is exhausted.
     pub fn sva_create_root(&mut self, machine: &mut Machine) -> Result<Pfn, SvaError> {
-        machine.prof_push(Domain::Mmu, "create_root");
-        machine.charge(machine.costs.mmu_update);
-        machine.prof_pop();
+        machine.charge_in(Domain::Mmu, "create_root", machine.costs.mmu_update);
         let root = machine.phys.alloc_frame().ok_or(SvaError::OutOfFrames)?;
         self.frames.set_kind(root, FrameKind::PageTable);
         Ok(root)
@@ -134,9 +132,11 @@ impl SvaVm {
         pfn: Pfn,
         flags: PteFlags,
     ) -> Result<(), SvaError> {
-        machine.prof_push(Domain::Mmu, "map_page");
-        machine.charge(machine.costs.mmu_update + machine.costs.mmu_check);
-        machine.prof_pop();
+        machine.charge_in(
+            Domain::Mmu,
+            "map_page",
+            machine.costs.mmu_update + machine.costs.mmu_check,
+        );
         machine.counters.pte_updates += 1;
         if self.protections.mmu_checks {
             if let Err(e) = self.check_update(machine, root, va, Some((pfn, flags))) {
@@ -173,9 +173,11 @@ impl SvaVm {
         root: Pfn,
         va: VAddr,
     ) -> Result<Option<Pfn>, SvaError> {
-        machine.prof_push(Domain::Mmu, "unmap_page");
-        machine.charge(machine.costs.mmu_update + machine.costs.mmu_check);
-        machine.prof_pop();
+        machine.charge_in(
+            Domain::Mmu,
+            "unmap_page",
+            machine.costs.mmu_update + machine.costs.mmu_check,
+        );
         machine.counters.pte_updates += 1;
         if self.protections.mmu_checks {
             if let Err(e) = self.check_update(machine, root, va, None) {

@@ -23,7 +23,7 @@ use crate::frames::FrameKind;
 use crate::SvaVm;
 use std::collections::VecDeque;
 use vg_machine::devices::{Packet, MTU};
-use vg_machine::{DenialKind, Domain, Machine, Pfn};
+use vg_machine::{DenialKind, Domain, Instrumented, Machine, Pfn, Scope};
 
 /// Transfer direction of every descriptor in a ring (rings are
 /// direction-homogeneous, like a virtio queue pair).
@@ -143,100 +143,102 @@ impl SvaVm {
     /// dry). Wire-side cycle charges per packet are identical to the
     /// per-call path, so batching changes CPU cost only.
     pub fn sva_ring_doorbell(&mut self, machine: &mut Machine, ring: &mut DescRing) -> usize {
-        machine.prof_push(Domain::Sva, "sva.ring_doorbell");
-        machine.charge(machine.costs.io_check + 20);
-        machine.counters.ring_doorbells += 1;
-        ring.doorbells += 1;
+        machine.scope(Scope::new(Domain::Sva, "sva.ring_doorbell"), |machine| {
+            machine.charge(machine.costs.io_check + 20);
+            machine.counters.ring_doorbells += 1;
+            ring.doorbells += 1;
 
-        let mut retired = 0usize;
-        while let Some(slot) = ring.avail.pop_front() {
-            let desc = ring.table[slot as usize]
-                .take()
-                .expect("available slot holds a descriptor");
-            machine.counters.ring_descs += 1;
-            // One frame-kind check per descriptor — the amortized residue
-            // of the classic map/unmap pair.
-            machine.charge(5);
-            let protected = self.protections.dma_checks
-                && matches!(
-                    self.frames.kind(desc.pfn),
-                    FrameKind::Ghost | FrameKind::SvaInternal | FrameKind::PageTable
-                );
-            if protected {
-                machine.record_denial(
-                    DenialKind::DmaViolation,
-                    desc.pfn.0,
-                    "ring descriptor names a protected frame",
-                );
-                ring.used.push_back(UsedElem {
-                    slot,
-                    desc,
-                    written: 0,
-                    flow: desc.flow,
-                    ok: false,
-                });
-                retired += 1;
-                continue;
-            }
-            machine.iommu.map(desc.pfn);
-            let elem = match ring.dir {
-                RingDir::ToDevice => {
-                    let mut data = vec![0u8; desc.len as usize];
-                    machine
-                        .phys
-                        .read_bytes(desc.pfn, u64::from(desc.off), &mut data);
-                    machine.counters.packets += 1;
-                    machine.charge_wire(
-                        machine.costs.nic_per_packet + machine.costs.nic_per_byte * desc.len as u64,
+            let mut retired = 0usize;
+            while let Some(slot) = ring.avail.pop_front() {
+                let desc = ring.table[slot as usize]
+                    .take()
+                    .expect("available slot holds a descriptor");
+                machine.counters.ring_descs += 1;
+                // One frame-kind check per descriptor — the amortized residue
+                // of the classic map/unmap pair.
+                machine.charge(5);
+                let protected = self.protections.dma_checks
+                    && matches!(
+                        self.frames.kind(desc.pfn),
+                        FrameKind::Ghost | FrameKind::SvaInternal | FrameKind::PageTable
                     );
-                    machine.nic.transmit(Packet {
-                        flow: desc.flow,
-                        data,
-                    });
-                    UsedElem {
-                        slot,
-                        desc,
-                        written: desc.len,
-                        flow: desc.flow,
-                        ok: true,
-                    }
-                }
-                RingDir::FromDevice => match machine.nic.receive() {
-                    Some(p) => {
-                        let n = p.data.len().min(desc.len as usize);
-                        machine
-                            .phys
-                            .write_bytes(desc.pfn, u64::from(desc.off), &p.data[..n]);
-                        machine.counters.packets += 1;
-                        machine.charge_wire(
-                            machine.costs.nic_per_packet + machine.costs.nic_per_byte * n as u64,
-                        );
-                        UsedElem {
-                            slot,
-                            desc,
-                            written: n as u32,
-                            flow: p.flow,
-                            ok: true,
-                        }
-                    }
-                    None => UsedElem {
+                if protected {
+                    machine.record_denial(
+                        DenialKind::DmaViolation,
+                        desc.pfn.0,
+                        "ring descriptor names a protected frame",
+                    );
+                    ring.used.push_back(UsedElem {
                         slot,
                         desc,
                         written: 0,
                         flow: desc.flow,
                         ok: false,
+                    });
+                    retired += 1;
+                    continue;
+                }
+                machine.iommu.map(desc.pfn);
+                let elem = match ring.dir {
+                    RingDir::ToDevice => {
+                        let mut data = vec![0u8; desc.len as usize];
+                        machine
+                            .phys
+                            .read_bytes(desc.pfn, u64::from(desc.off), &mut data);
+                        machine.counters.packets += 1;
+                        machine.charge_wire(
+                            machine.costs.nic_per_packet
+                                + machine.costs.nic_per_byte * desc.len as u64,
+                        );
+                        machine.nic.transmit(Packet {
+                            flow: desc.flow,
+                            data,
+                        });
+                        UsedElem {
+                            slot,
+                            desc,
+                            written: desc.len,
+                            flow: desc.flow,
+                            ok: true,
+                        }
+                    }
+                    RingDir::FromDevice => match machine.nic.receive() {
+                        Some(p) => {
+                            let n = p.data.len().min(desc.len as usize);
+                            machine
+                                .phys
+                                .write_bytes(desc.pfn, u64::from(desc.off), &p.data[..n]);
+                            machine.counters.packets += 1;
+                            machine.charge_wire(
+                                machine.costs.nic_per_packet
+                                    + machine.costs.nic_per_byte * n as u64,
+                            );
+                            UsedElem {
+                                slot,
+                                desc,
+                                written: n as u32,
+                                flow: p.flow,
+                                ok: true,
+                            }
+                        }
+                        None => UsedElem {
+                            slot,
+                            desc,
+                            written: 0,
+                            flow: desc.flow,
+                            ok: false,
+                        },
                     },
-                },
-            };
-            machine.iommu.unmap(desc.pfn);
-            ring.used.push_back(elem);
-            retired += 1;
-        }
-        if retired > 0 {
-            ring.interrupts += 1;
-        }
-        machine.prof_pop();
-        retired
+                };
+                machine.iommu.unmap(desc.pfn);
+                ring.used.push_back(elem);
+                retired += 1;
+            }
+            if retired > 0 {
+                ring.interrupts += 1;
+            }
+            retired
+        })
     }
 }
 

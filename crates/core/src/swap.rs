@@ -18,7 +18,7 @@ use vg_crypto::aes::{Aes128, SealedBox};
 use vg_crypto::hmac::HmacKey;
 use vg_machine::layout::{Region, PAGE_SIZE};
 use vg_machine::pte::{Pte, PteFlags};
-use vg_machine::{DenialKind, Domain, Machine, Pfn, TraceEvent, VAddr};
+use vg_machine::{DenialKind, Domain, Instrumented, Machine, Pfn, Scope, TraceEvent, VAddr};
 
 /// The VM's swap keys, held pre-expanded: the AES key schedule and the HMAC
 /// ipad/opad midstates are computed once at boot instead of once per sealed
@@ -91,37 +91,32 @@ impl SvaVm {
             .ghost
             .frame_at(proc, vpn)
             .ok_or(SvaError::NotGhostMapped)?;
-        let t0 = machine.clock.cycles();
-        // The charge is split so the profiler attributes the seal crypto
-        // separately from the SVA bookkeeping; the total is unchanged.
-        machine.prof_push(Domain::Crypto, "seal");
-        machine.charge(
-            machine.costs.aes_per_block * (PAGE_SIZE / 16)
-                + machine.costs.sha_per_block * (PAGE_SIZE / 64),
-        );
-        machine.prof_pop();
-        machine.prof_push(Domain::Sva, "sva.swap_out");
-        machine.charge(machine.costs.ghost_page_op);
-        machine.prof_pop();
-        machine.metrics.add("swap.crypto_bytes", PAGE_SIZE);
-        let contents = machine.phys.read_frame(pfn);
-        let sealed = SealedBox::seal_with(
-            &self.swap.cipher,
-            &self.swap.mac,
-            self.swap.context(proc, vpn),
-            &contents,
-        );
-        // Tear the page down exactly like freegm.
-        self.unmap_page_unchecked(machine, root, va);
-        machine.tlb_flush_page(va.vpn());
-        machine.phys.zero_frame(pfn);
-        self.frames.set_kind(pfn, FrameKind::Regular);
-        if let Some(pages) = self.ghost.pages.get_mut(&proc) {
-            pages.remove(&vpn);
-        }
-        machine.trace_emit(TraceEvent::SwapOut { vpn });
-        machine.trace_complete("sva", "sva.swap_out", t0);
-        Ok((SwappedGhostPage { proc, vpn, sealed }, pfn))
+        machine.scope(Scope::new(Domain::Sva, "sva.swap_out"), |machine| {
+            // The seal crypto has its own frame inside the operation, so the
+            // profiler attributes it apart from the SVA bookkeeping.
+            let crypto = machine.costs.aes_per_block * (PAGE_SIZE / 16)
+                + machine.costs.sha_per_block * (PAGE_SIZE / 64);
+            machine.charge_in(Domain::Crypto, "seal", crypto);
+            machine.charge(machine.costs.ghost_page_op);
+            machine.metrics.add("swap.crypto_bytes", PAGE_SIZE);
+            let contents = machine.phys.read_frame(pfn);
+            let sealed = SealedBox::seal_with(
+                &self.swap.cipher,
+                &self.swap.mac,
+                self.swap.context(proc, vpn),
+                &contents,
+            );
+            // Tear the page down exactly like freegm.
+            self.unmap_page_unchecked(machine, root, va);
+            machine.tlb_flush_page(va.vpn());
+            machine.phys.zero_frame(pfn);
+            self.frames.set_kind(pfn, FrameKind::Regular);
+            if let Some(pages) = self.ghost.pages.get_mut(&proc) {
+                pages.remove(&vpn);
+            }
+            machine.trace_emit(TraceEvent::SwapOut { vpn });
+            Ok((SwappedGhostPage { proc, vpn, sealed }, pfn))
+        })
     }
 
     /// Swaps a page back in: verifies integrity and location binding, then
@@ -150,57 +145,52 @@ impl SvaVm {
         {
             return Err(SvaError::FrameInUse);
         }
-        let t0 = machine.clock.cycles();
-        // Split as in `sva_swap_out`: unseal crypto vs. SVA bookkeeping.
-        machine.prof_push(Domain::Crypto, "unseal");
-        machine.charge(
-            machine.costs.aes_per_block * (PAGE_SIZE / 16)
-                + machine.costs.sha_per_block * (PAGE_SIZE / 64),
-        );
-        machine.prof_pop();
-        machine.prof_push(Domain::Sva, "sva.swap_in");
-        machine.charge(machine.costs.ghost_page_op);
-        machine.prof_pop();
-        machine.metrics.add("swap.crypto_bytes", PAGE_SIZE);
-        let vpn = va.vpn().0;
-        let contents = match blob.sealed.open_with(
-            &self.swap.cipher,
-            &self.swap.mac,
-            self.swap.context(proc, vpn),
-        ) {
-            Ok(c) => c,
-            Err(_) => {
-                machine.record_denial(
-                    DenialKind::SwapIntegrity,
-                    va.0,
-                    "sva.swap_in: blob failed integrity or location-binding check",
-                );
-                machine.trace_emit(TraceEvent::SwapIn { vpn, ok: false });
-                return Err(SvaError::SwapIntegrity);
+        machine.scope(Scope::new(Domain::Sva, "sva.swap_in"), |machine| {
+            // Split as in `sva_swap_out`: unseal crypto vs. SVA bookkeeping.
+            let crypto = machine.costs.aes_per_block * (PAGE_SIZE / 16)
+                + machine.costs.sha_per_block * (PAGE_SIZE / 64);
+            machine.charge_in(Domain::Crypto, "unseal", crypto);
+            machine.charge(machine.costs.ghost_page_op);
+            machine.metrics.add("swap.crypto_bytes", PAGE_SIZE);
+            let vpn = va.vpn().0;
+            let contents = match blob.sealed.open_with(
+                &self.swap.cipher,
+                &self.swap.mac,
+                self.swap.context(proc, vpn),
+            ) {
+                Ok(c) => c,
+                Err(_) => {
+                    machine.record_denial(
+                        DenialKind::SwapIntegrity,
+                        va.0,
+                        "sva.swap_in: blob failed integrity or location-binding check",
+                    );
+                    machine.trace_emit(TraceEvent::SwapIn { vpn, ok: false });
+                    return Err(SvaError::SwapIntegrity);
+                }
+            };
+            machine.phys.write_frame(frame, &contents);
+            self.frames.set_kind(frame, FrameKind::Ghost);
+            if let Err(e) = self.map_page_unchecked(
+                machine,
+                root,
+                va,
+                Pte::new(frame, PteFlags::user_rw()),
+                FrameKind::PageTable,
+            ) {
+                // Mapping failed (e.g. no frames left for intermediate tables)
+                // after the plaintext was already written: scrub the frame and
+                // hand it back in the state the OS donated it, so nothing ghost
+                // leaks and a later retry can succeed.
+                machine.phys.zero_frame(frame);
+                self.frames.set_kind(frame, FrameKind::Regular);
+                return Err(e);
             }
-        };
-        machine.phys.write_frame(frame, &contents);
-        self.frames.set_kind(frame, FrameKind::Ghost);
-        if let Err(e) = self.map_page_unchecked(
-            machine,
-            root,
-            va,
-            Pte::new(frame, PteFlags::user_rw()),
-            FrameKind::PageTable,
-        ) {
-            // Mapping failed (e.g. no frames left for intermediate tables)
-            // after the plaintext was already written: scrub the frame and
-            // hand it back in the state the OS donated it, so nothing ghost
-            // leaks and a later retry can succeed.
-            machine.phys.zero_frame(frame);
-            self.frames.set_kind(frame, FrameKind::Regular);
-            return Err(e);
-        }
-        machine.tlb_flush_page(va.vpn());
-        self.ghost.pages.entry(proc).or_default().insert(vpn, frame);
-        machine.trace_emit(TraceEvent::SwapIn { vpn, ok: true });
-        machine.trace_complete("sva", "sva.swap_in", t0);
-        Ok(())
+            machine.tlb_flush_page(va.vpn());
+            self.ghost.pages.entry(proc).or_default().insert(vpn, frame);
+            machine.trace_emit(TraceEvent::SwapIn { vpn, ok: true });
+            Ok(())
+        })
     }
 }
 

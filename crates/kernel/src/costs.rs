@@ -14,7 +14,7 @@
 //! See EXPERIMENTS.md for the calibration table.
 
 use crate::mem::kwork;
-use vg_machine::Machine;
+use vg_machine::{Instrumented, Machine, Scope};
 
 /// Work profile of one kernel path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,19 +30,16 @@ pub struct PathCost {
 }
 
 impl PathCost {
-    /// Charges this path on `machine` under its cost model and emits a
-    /// `kpath` span covering the charged cycles. The profiler leaf inherits
-    /// whatever domain encloses the call site (syscall, fault, boot), so
-    /// kernel paths appear as named flamegraph leaves without reclassifying
-    /// the cycles.
+    /// Charges this path on `machine` under its cost model inside a leaf
+    /// scope: the profiler leaf inherits whatever domain encloses the call
+    /// site (syscall, fault, boot), so kernel paths appear as named
+    /// flamegraph leaves and `kpath` spans without reclassifying the cycles.
     #[inline]
     pub fn charge(&self, machine: &mut Machine) {
-        let t0 = machine.clock.cycles();
-        machine.prof_leaf(self.name);
-        kwork(machine, self.acc, self.br);
-        machine.charge(self.fixed);
-        machine.prof_pop();
-        machine.trace_complete("kpath", self.name, t0);
+        machine.scope(Scope::leaf(self.name), |m| {
+            kwork(m, self.acc, self.br);
+            m.charge(self.fixed);
+        });
     }
 }
 

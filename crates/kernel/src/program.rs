@@ -16,7 +16,7 @@ use std::rc::Rc;
 use vg_core::{ProcId, SvaError};
 use vg_machine::layout::PAGE_SIZE;
 use vg_machine::mmu::AccessKind;
-use vg_machine::VAddr;
+use vg_machine::{Domain, VAddr};
 
 /// A program body.
 pub type AppMain = Box<dyn FnMut(&mut UserEnv) -> i32>;
@@ -297,11 +297,7 @@ impl UserEnv<'_> {
     ///
     /// [`SvaError::Key`] if no key was loaded at exec.
     pub fn get_app_key(&mut self) -> Result<[u8; 16], SvaError> {
-        self.sys
-            .machine
-            .prof_push(vg_machine::Domain::Sva, "sva.getKey");
-        self.sys.machine.charge(200);
-        self.sys.machine.prof_pop();
+        self.sys.machine.charge_in(Domain::Sva, "sva.getKey", 200);
         self.sys.machine.trace_emit(vg_machine::TraceEvent::GetKey);
         self.sys.vm.sva_get_key(ProcId(self.pid))
     }

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use vg_core::swap::SwappedGhostPage;
 use vg_core::{ProcId, SvaError};
 use vg_machine::layout::{Region, PAGE_SIZE};
-use vg_machine::{Domain, FaultClass, VAddr};
+use vg_machine::{Domain, FaultClass, Instrumented, Scope, VAddr};
 
 /// Bounded retries against a transiently failing swap device before the
 /// operation is reported as failed.
@@ -61,31 +61,31 @@ impl System {
         };
         let mut vpns = self.vm.ghost.resident_vpns(ProcId(pid));
         vpns.sort_unstable();
-        let mut evicted = 0;
-        let t0 = self.machine.clock.cycles();
-        self.machine.prof_push(Domain::Swap, "swap_out");
-        for vpn in vpns.into_iter().take(max_pages) {
-            costs::FSYNC.charge(&mut self.machine); // swap-device write path
-            if !self.swap_device_io() {
-                // Device stayed dead through the retries: stop evicting.
-                // Pages not yet swapped simply remain resident.
-                break;
-            }
-            match self
-                .vm
-                .sva_swap_out(&mut self.machine, ProcId(pid), root, VAddr(vpn * PAGE_SIZE))
-            {
-                Ok((blob, frame)) => {
-                    self.machine.phys.free_frame(frame);
-                    self.swap.blobs.insert((pid, vpn), blob);
-                    evicted += 1;
+        self.scope(Scope::new(Domain::Swap, "swap_out"), |sys| {
+            let mut evicted = 0;
+            for vpn in vpns.into_iter().take(max_pages) {
+                costs::FSYNC.charge(&mut sys.machine); // swap-device write path
+                if !sys.swap_device_io() {
+                    // Device stayed dead through the retries: stop evicting.
+                    // Pages not yet swapped simply remain resident.
+                    break;
                 }
-                Err(_) => break,
+                match sys.vm.sva_swap_out(
+                    &mut sys.machine,
+                    ProcId(pid),
+                    root,
+                    VAddr(vpn * PAGE_SIZE),
+                ) {
+                    Ok((blob, frame)) => {
+                        sys.machine.phys.free_frame(frame);
+                        sys.swap.blobs.insert((pid, vpn), blob);
+                        evicted += 1;
+                    }
+                    Err(_) => break,
+                }
             }
-        }
-        self.machine.prof_pop();
-        self.machine.trace_complete("kernel", "swap_out_ghost", t0);
-        evicted
+            evicted
+        })
     }
 
     /// Attempts to swap the ghost page covering `va` back in for `pid`.
@@ -98,75 +98,65 @@ impl System {
     /// corrupted — the application's data is gone (availability is out of
     /// scope), but nothing wrong is ever mapped in.
     pub fn kernel_swap_in_ghost(&mut self, pid: Pid, va: u64) -> Result<bool, SvaError> {
-        // The body has several charged early returns, so the attribution
-        // frame is balanced by wrapping rather than by pairing push/pop at
-        // every exit.
-        self.machine.prof_push(Domain::Swap, "swap_in");
-        let r = self.swap_in_ghost_inner(pid, va);
-        self.machine.prof_pop();
-        r
-    }
-
-    fn swap_in_ghost_inner(&mut self, pid: Pid, va: u64) -> Result<bool, SvaError> {
-        if Region::of(VAddr(va)) != Region::Ghost {
-            return Ok(false);
-        }
-        let vpn = va / PAGE_SIZE;
-        if !self.swap.blobs.contains_key(&(pid, vpn)) {
-            return Ok(false);
-        }
-        // Injected hostile-OS/bit-rot tampering hits the *stored* blob, so
-        // the VM's integrity check is what catches it downstream.
-        if self.machine.fault_check(FaultClass::SwapCorrupt) {
-            let e = self.machine.faults.entropy();
-            if let Some(blob) = self.swap.blobs.get_mut(&(pid, vpn)) {
-                let ct = blob.sealed.ciphertext_mut();
-                if !ct.is_empty() {
-                    let i = (e % ct.len() as u64) as usize;
-                    ct[i] ^= 1 << (e >> 32 & 7);
+        self.scope(Scope::new(Domain::Swap, "swap_in"), |sys| {
+            if Region::of(VAddr(va)) != Region::Ghost {
+                return Ok(false);
+            }
+            let vpn = va / PAGE_SIZE;
+            if !sys.swap.blobs.contains_key(&(pid, vpn)) {
+                return Ok(false);
+            }
+            // Injected hostile-OS/bit-rot tampering hits the *stored* blob, so
+            // the VM's integrity check is what catches it downstream.
+            if sys.machine.fault_check(FaultClass::SwapCorrupt) {
+                let e = sys.machine.faults.entropy();
+                if let Some(blob) = sys.swap.blobs.get_mut(&(pid, vpn)) {
+                    let ct = blob.sealed.ciphertext_mut();
+                    if !ct.is_empty() {
+                        let i = (e % ct.len() as u64) as usize;
+                        ct[i] ^= 1 << (e >> 32 & 7);
+                    }
                 }
             }
-        }
-        if self.machine.fault_check(FaultClass::SwapTruncate) {
-            if let Some(blob) = self.swap.blobs.get_mut(&(pid, vpn)) {
-                let ct = blob.sealed.ciphertext_mut();
-                let half = ct.len() / 2;
-                ct.truncate(half);
+            if sys.machine.fault_check(FaultClass::SwapTruncate) {
+                if let Some(blob) = sys.swap.blobs.get_mut(&(pid, vpn)) {
+                    let ct = blob.sealed.ciphertext_mut();
+                    let half = ct.len() / 2;
+                    ct.truncate(half);
+                }
             }
-        }
-        let blob = self.swap.blobs[&(pid, vpn)].clone();
-        let t0 = self.machine.clock.cycles();
-        costs::FSYNC.charge(&mut self.machine); // swap-device read path
-        if !self.swap_device_io() {
-            self.log
-                .push(format!("swap-in of pid {pid} vpn {vpn:#x}: device failed"));
-            return Err(SvaError::SwapDevice);
-        }
-        let root = self.procs[&pid].root;
-        let frame = self
-            .machine
-            .alloc_frame_checked()
-            .ok_or(SvaError::OutOfFrames)?;
-        match self.vm.sva_swap_in(
-            &mut self.machine,
-            ProcId(pid),
-            root,
-            VAddr(vpn * PAGE_SIZE),
-            &blob,
-            frame,
-        ) {
-            Ok(()) => {
-                self.swap.blobs.remove(&(pid, vpn));
-                self.machine.trace_complete("kernel", "swap_in_ghost", t0);
-                Ok(true)
+            let blob = sys.swap.blobs[&(pid, vpn)].clone();
+            costs::FSYNC.charge(&mut sys.machine); // swap-device read path
+            if !sys.swap_device_io() {
+                sys.log
+                    .push(format!("swap-in of pid {pid} vpn {vpn:#x}: device failed"));
+                return Err(SvaError::SwapDevice);
             }
-            Err(e) => {
-                self.machine.phys.free_frame(frame);
-                self.log
-                    .push(format!("swap-in of pid {pid} vpn {vpn:#x} refused: {e}"));
-                Err(e)
+            let root = sys.procs[&pid].root;
+            let frame = sys
+                .machine
+                .alloc_frame_checked()
+                .ok_or(SvaError::OutOfFrames)?;
+            match sys.vm.sva_swap_in(
+                &mut sys.machine,
+                ProcId(pid),
+                root,
+                VAddr(vpn * PAGE_SIZE),
+                &blob,
+                frame,
+            ) {
+                Ok(()) => {
+                    sys.swap.blobs.remove(&(pid, vpn));
+                    Ok(true)
+                }
+                Err(e) => {
+                    sys.machine.phys.free_frame(frame);
+                    sys.log
+                        .push(format!("swap-in of pid {pid} vpn {vpn:#x} refused: {e}"));
+                    Err(e)
+                }
             }
-        }
+        })
     }
 
     /// One swap-device transfer with bounded retry against injected

@@ -12,7 +12,7 @@ use crate::fs::{FsError, FsWork, InodeKind};
 use crate::mem::RegionKind;
 use crate::system::{DmaDisk, Fd, Pid, System};
 use vg_machine::mmu::AccessKind;
-use vg_machine::FaultClass;
+use vg_machine::{FaultClass, Instrumented, Scope};
 
 /// `ENOMEM` as a syscall return: the kernel could not find memory (frame
 /// pool dry, kernel allocation failed). Never a panic.
@@ -737,9 +737,9 @@ impl System {
             interp.run(handler, &argv, &mut ctx)
         };
         let stats = interp.stats;
-        self.machine.prof_leaf("module_hook");
-        crate::mem::charge_interp(&mut self.machine, &stats);
-        self.machine.prof_pop();
+        self.machine.scope(Scope::leaf("module_hook"), |m| {
+            crate::mem::charge_interp(m, &stats)
+        });
         match result {
             Ok(v) => v,
             Err(e) => {

@@ -28,7 +28,9 @@ use vg_machine::cpu::TrapKind;
 use vg_machine::layout::{GHOST_BASE, PAGE_SIZE};
 use vg_machine::mmu::{AccessKind, TranslateError};
 use vg_machine::pte::PteFlags;
-use vg_machine::{DenialKind, Domain, FaultClass, Machine, MachineConfig, Pfn, VAddr};
+use vg_machine::{
+    DenialKind, Domain, FaultClass, Instrumented, Machine, MachineConfig, Pfn, Scope, VAddr,
+};
 
 /// Process identifier.
 pub type Pid = u64;
@@ -242,9 +244,8 @@ impl DmaDisk<'_> {
 
     fn try_read(&mut self, bno: u32) -> Result<Vec<u8>, FsError> {
         self.machine.counters.disk_blocks += 1;
-        self.machine.prof_push(Domain::Dma, "disk_read");
-        self.machine.charge(self.machine.costs.disk_per_block);
-        self.machine.prof_pop();
+        self.machine
+            .charge_in(Domain::Dma, "disk_read", self.machine.costs.disk_per_block);
         let frame = self.machine.alloc_frame_checked().ok_or(FsError::Io)?;
         if self.vm.sva_iommu_map(self.machine, frame).is_err() {
             self.machine.phys.free_frame(frame);
@@ -259,9 +260,8 @@ impl DmaDisk<'_> {
 
     fn try_write(&mut self, bno: u32, data: &[u8]) -> Result<(), FsError> {
         self.machine.counters.disk_blocks += 1;
-        self.machine.prof_push(Domain::Dma, "disk_write");
-        self.machine.charge(self.machine.costs.disk_per_block);
-        self.machine.prof_pop();
+        self.machine
+            .charge_in(Domain::Dma, "disk_write", self.machine.costs.disk_per_block);
         let frame = self.machine.alloc_frame_checked().ok_or(FsError::Io)?;
         self.machine.phys.write_frame(frame, data);
         if self.vm.sva_iommu_map(self.machine, frame).is_err() {
@@ -276,10 +276,8 @@ impl DmaDisk<'_> {
 
     fn backoff(&mut self, attempt: u32) {
         self.machine.fault_retried(FaultClass::DeviceIo);
-        self.machine.prof_push(Domain::Dma, "disk_retry");
-        self.machine
-            .charge(self.machine.costs.disk_per_block << attempt);
-        self.machine.prof_pop();
+        let backoff = self.machine.costs.disk_per_block << attempt;
+        self.machine.charge_in(Domain::Dma, "disk_retry", backoff);
     }
 }
 
@@ -387,6 +385,14 @@ impl std::fmt::Debug for System {
             .field("procs", &self.procs.len())
             .field("cycles", &self.machine.clock.cycles())
             .finish()
+    }
+}
+
+/// Kernel bodies that need the whole system open their scopes here.
+impl Instrumented for System {
+    #[inline]
+    fn machine(&mut self) -> &mut Machine {
+        &mut self.machine
     }
 }
 
@@ -665,9 +671,7 @@ impl System {
         self.credit_cpu_time();
         self.machine.counters.context_switches += 1;
         let cs = self.machine.costs.context_switch + self.machine.costs.context_switch_vg;
-        self.machine.prof_push(Domain::Sched, "context_switch");
-        self.machine.charge(cs);
-        self.machine.prof_pop();
+        self.machine.charge_in(Domain::Sched, "context_switch", cs);
         let root = self.procs[&pid].root;
         self.vm
             .sva_load_root(&mut self.machine, root)
@@ -720,9 +724,9 @@ impl System {
             .expect("process has a program");
         // Everything the program body charges that is not claimed by a more
         // specific frame (syscalls, faults, traps) is user time.
-        self.machine.prof_push(Domain::User, "user");
-        let mut code = program(&mut UserEnv { sys: self, pid });
-        self.machine.prof_pop();
+        let mut code = self.scope(Scope::new(Domain::User, "user"), |sys| {
+            program(&mut UserEnv { sys, pid })
+        });
         // A process the kernel fault-killed mid-run finished only because
         // its syscalls and memory accesses were degraded to errors; its
         // exit status reports the kill (SIGKILL-style 137), not whatever
@@ -778,47 +782,47 @@ impl System {
     }
 
     pub(crate) fn exit_proc(&mut self, pid: Pid, code: i32) {
-        self.machine.prof_push(Domain::Syscall, "exit");
-        costs::EXIT.charge(&mut self.machine);
-        self.credit_cpu_time();
-        let root = self.procs[&pid].root;
-        // Ghost teardown first (frames zeroed by the VM), then user pages,
-        // then the page tables.
-        for f in self
-            .vm
-            .sva_release_ghost(&mut self.machine, ProcId(pid), root)
-        {
-            self.machine.phys.free_frame(f);
-        }
-        let pages: Vec<Pfn> = self.procs[&pid].aspace.pages.values().copied().collect();
-        self.vm.sva_destroy_root(&mut self.machine, root);
-        for f in pages {
-            self.machine.phys.free_frame(f);
-        }
-        self.vm.ic.remove_thread(ThreadId(pid));
-        self.vm.ic.clear_permits(ProcId(pid));
-        self.vm.sva_drop_key(ProcId(pid));
-        self.swap.remove_proc(pid);
-        // Release socket and pipe references (shared with forked relatives).
-        let fds: Vec<Fd> = self.procs[&pid].fds.iter().flatten().cloned().collect();
-        for fd in fds {
-            match fd {
-                Fd::Sock { id } => self.release_socket(id),
-                Fd::PipeR { id } | Fd::PipeW { id } => self.release_pipe_end(&fd, id),
-                Fd::File { .. } => {}
+        self.scope(Scope::new(Domain::Syscall, "exit"), |sys| {
+            costs::EXIT.charge(&mut sys.machine);
+            sys.credit_cpu_time();
+            let root = sys.procs[&pid].root;
+            // Ghost teardown first (frames zeroed by the VM), then user pages,
+            // then the page tables.
+            for f in sys
+                .vm
+                .sva_release_ghost(&mut sys.machine, ProcId(pid), root)
+            {
+                sys.machine.phys.free_frame(f);
             }
-        }
-        let proc = self.procs.get_mut(&pid).expect("proc exists");
-        proc.state = ProcState::Zombie(code);
-        proc.fds.clear();
-        self.exited.insert(pid, code);
-        if self.cur == Some(pid) {
-            self.cur = None;
-            self.vm
-                .sva_load_root(&mut self.machine, self.boot_root)
-                .expect("boot root");
-        }
-        self.machine.prof_pop();
+            let pages: Vec<Pfn> = sys.procs[&pid].aspace.pages.values().copied().collect();
+            sys.vm.sva_destroy_root(&mut sys.machine, root);
+            for f in pages {
+                sys.machine.phys.free_frame(f);
+            }
+            sys.vm.ic.remove_thread(ThreadId(pid));
+            sys.vm.ic.clear_permits(ProcId(pid));
+            sys.vm.sva_drop_key(ProcId(pid));
+            sys.swap.remove_proc(pid);
+            // Release socket and pipe references (shared with forked relatives).
+            let fds: Vec<Fd> = sys.procs[&pid].fds.iter().flatten().cloned().collect();
+            for fd in fds {
+                match fd {
+                    Fd::Sock { id } => sys.release_socket(id),
+                    Fd::PipeR { id } | Fd::PipeW { id } => sys.release_pipe_end(&fd, id),
+                    Fd::File { .. } => {}
+                }
+            }
+            let proc = sys.procs.get_mut(&pid).expect("proc exists");
+            proc.state = ProcState::Zombie(code);
+            proc.fds.clear();
+            sys.exited.insert(pid, code);
+            if sys.cur == Some(pid) {
+                sys.cur = None;
+                sys.vm
+                    .sva_load_root(&mut sys.machine, sys.boot_root)
+                    .expect("boot root");
+            }
+        });
     }
 
     // ---- trap path ---------------------------------------------------------
@@ -841,28 +845,26 @@ impl System {
         cpu.set_reg(vg_machine::cpu::Reg::R10, args[3]);
         cpu.set_reg(vg_machine::cpu::Reg::R8, args[4]);
         cpu.set_reg(vg_machine::cpu::Reg::R9, args[5]);
+        // The whole trap, entry to return, is one timed scope: its frame,
+        // its `syscall` span and its `sys.*` latency sample cover the same
+        // cycles.
         let sname = crate::syscall::syscall_name(num);
-        let t0 = self.machine.clock.cycles();
-        self.machine.prof_push(Domain::Syscall, sname);
-        self.vm
-            .trap_enter(&mut self.machine, thread, TrapKind::Syscall(num));
-        self.machine.counters.syscalls += 1;
-        self.machine.charge(self.machine.costs.syscall_dispatch);
-        self.machine
-            .trace_emit(vg_machine::TraceEvent::SyscallDispatch { num });
-        self.machine.trace_begin("syscall", sname, num as u64);
-        let ret = self.dispatch_syscall(pid, num, args);
-        self.machine.trace_end("syscall", sname);
-        self.machine
-            .trace_emit(vg_machine::TraceEvent::SyscallReturn { num, ret });
-        let _ = self.vm.ic_set_return_value(thread, ret as u64);
-        self.deliver_pending_signals(pid);
-        self.vm
-            .trap_return(&mut self.machine, thread)
-            .expect("balanced trap");
-        let lat = self.machine.clock.cycles() - t0;
-        self.machine.metrics.observe(sname, lat);
-        self.machine.prof_pop();
+        self.scope(Scope::new(Domain::Syscall, sname).timed(), |sys| {
+            sys.vm
+                .trap_enter(&mut sys.machine, thread, TrapKind::Syscall(num));
+            sys.machine.counters.syscalls += 1;
+            sys.machine.charge(sys.machine.costs.syscall_dispatch);
+            sys.machine
+                .trace_emit(vg_machine::TraceEvent::SyscallDispatch { num });
+            let ret = sys.dispatch_syscall(pid, num, args);
+            sys.machine
+                .trace_emit(vg_machine::TraceEvent::SyscallReturn { num, ret });
+            let _ = sys.vm.ic_set_return_value(thread, ret as u64);
+            sys.deliver_pending_signals(pid);
+            sys.vm
+                .trap_return(&mut sys.machine, thread)
+                .expect("balanced trap");
+        });
         // Hardware resumes wherever the (possibly tampered) interrupt
         // context says. On the baseline system a hostile module may have
         // rewritten the saved PC (§2.2.4) — if it now points at registered
@@ -989,22 +991,22 @@ impl System {
 
     fn handle_page_fault(&mut self, pid: Pid, va: u64, access: AccessKind) -> bool {
         let thread = ThreadId(pid);
-        self.machine.prof_push(Domain::Fault, "page_fault");
-        self.vm.trap_enter(
-            &mut self.machine,
-            thread,
-            TrapKind::PageFault(VAddr(va), access),
-        );
-        self.machine.counters.page_faults += 1;
-        self.machine
-            .trace_emit(vg_machine::TraceEvent::PageFault { va });
-        costs::PAGE_FAULT.charge(&mut self.machine);
-        let served = self.populate_page(pid, va);
-        self.vm
-            .trap_return(&mut self.machine, thread)
-            .expect("balanced fault");
-        self.machine.prof_pop();
-        served
+        self.scope(Scope::new(Domain::Fault, "page_fault"), |sys| {
+            sys.vm.trap_enter(
+                &mut sys.machine,
+                thread,
+                TrapKind::PageFault(VAddr(va), access),
+            );
+            sys.machine.counters.page_faults += 1;
+            sys.machine
+                .trace_emit(vg_machine::TraceEvent::PageFault { va });
+            costs::PAGE_FAULT.charge(&mut sys.machine);
+            let served = sys.populate_page(pid, va);
+            sys.vm
+                .trap_return(&mut sys.machine, thread)
+                .expect("balanced fault");
+            served
+        })
     }
 
     fn populate_page(&mut self, pid: Pid, va: u64) -> bool {
@@ -1451,9 +1453,10 @@ impl System {
             let mut ctx = crate::module::UserCtx { sys: self, pid };
             let result = interp.run(vg_ir::CodeAddr(addr), &[arg as i64], &mut ctx);
             let stats = interp.stats;
-            self.machine.prof_push(Domain::User, "user_ir");
-            crate::mem::charge_interp(&mut self.machine, &stats);
-            self.machine.prof_pop();
+            self.machine
+                .scope(Scope::new(Domain::User, "user_ir"), |m| {
+                    crate::mem::charge_interp(m, &stats)
+                });
             match result {
                 Ok(_) => {}
                 Err(e) => self

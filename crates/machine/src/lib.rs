@@ -35,6 +35,7 @@ pub mod phys;
 #[cfg(test)]
 mod proptests;
 pub mod pte;
+pub mod scope;
 
 pub use cost::{Clock, CostModel, Counters};
 pub use cpu::{Cpu, IpiState, TrapFrame, TrapKind};
@@ -43,6 +44,7 @@ pub use layout::{mask_kernel_pointer, PAddr, Pfn, Region, VAddr, Vpn, PAGE_SIZE}
 pub use mmu::{AccessKind, Mmu, TlbPolicy, TlbStats, TranslateError};
 pub use phys::PhysMem;
 pub use pte::{PageTableLevel, Pte, PteFlags};
+pub use scope::{Instrumented, Scope};
 pub use vg_faults::{FaultClass, FaultPlan, FaultSpec, FaultState, InjectedFault, Trigger};
 pub use vg_trace::{
     CycleProfiler, DenialKind, DeniedOp, Domain, MetricsRegistry, TraceEvent, Tracer,
@@ -301,10 +303,10 @@ impl Machine {
             self.cpu.ipi.sent += 1;
             self.counters.ipis += 1;
             let (send, recv) = (self.costs.ipi_send, self.costs.ipi_receive);
-            self.prof_push(Domain::Mmu, "ipi.shootdown");
-            self.charge(send);
-            self.charge_on(target, recv);
-            self.prof_pop();
+            self.scope(Scope::new(Domain::Mmu, "ipi.shootdown"), |m| {
+                m.charge(send);
+                m.charge_on(target, recv);
+            });
         }
     }
 
@@ -348,32 +350,14 @@ impl Machine {
 
     // ---- cycle attribution ------------------------------------------------
     //
-    // Frame helpers around `CycleProfiler`. Like tracing, attribution reads
-    // the clock but never advances it: profiler-on vs. off leaves the
-    // simulation bit-identical.
+    // Frames are pushed and popped only by scopes (`scope.rs`). Like
+    // tracing, attribution reads the clock but never advances it:
+    // profiler-on vs. off leaves the simulation bit-identical.
 
     /// Enables cycle attribution from the current clock value onward.
     pub fn profile_enable(&mut self) {
         let now = self.clock.cycles();
         self.profiler.enable(now);
-    }
-
-    /// Pushes an attribution frame (no-op while the profiler is off).
-    #[inline]
-    pub fn prof_push(&mut self, domain: Domain, label: &'static str) {
-        self.profiler.push(domain, label);
-    }
-
-    /// Pushes a leaf frame inheriting the enclosing frame's domain.
-    #[inline]
-    pub fn prof_leaf(&mut self, label: &'static str) {
-        self.profiler.push_leaf(label);
-    }
-
-    /// Pops the innermost attribution frame.
-    #[inline]
-    pub fn prof_pop(&mut self) {
-        self.profiler.pop();
     }
 
     // ---- tracing ----------------------------------------------------------
@@ -388,25 +372,6 @@ impl Machine {
             let at = self.clock.cycles();
             self.trace.emit(at, ev);
         }
-    }
-
-    /// Opens a hierarchical span (closed by [`trace_end`](Self::trace_end)).
-    #[inline]
-    pub fn trace_begin(&mut self, cat: &'static str, name: &'static str, arg: u64) {
-        self.trace_emit(TraceEvent::Begin { cat, name, arg });
-    }
-
-    /// Closes the innermost open span with this category and name.
-    #[inline]
-    pub fn trace_end(&mut self, cat: &'static str, name: &'static str) {
-        self.trace_emit(TraceEvent::End { cat, name });
-    }
-
-    /// Emits a self-contained span from `start` (a cycle count previously
-    /// read from the clock) to now.
-    #[inline]
-    pub fn trace_complete(&mut self, cat: &'static str, name: &'static str, start: u64) {
-        self.trace_emit(TraceEvent::Complete { cat, name, start });
     }
 
     // ---- fault injection --------------------------------------------------

@@ -38,18 +38,6 @@ pub fn chrome_trace_json(tracer: &Tracer) -> String {
 fn write_event(out: &mut String, r: &Record) {
     let (tid, at) = (r.proc_id, r.at);
     match r.ev {
-        TraceEvent::Begin { cat, name, arg } => {
-            let _ = write!(
-                out,
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"B\",\"ts\":{at},\"pid\":1,\"tid\":{tid},\"args\":{{\"arg\":{arg}}}}}"
-            );
-        }
-        TraceEvent::End { cat, name } => {
-            let _ = write!(
-                out,
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"E\",\"ts\":{at},\"pid\":1,\"tid\":{tid}}}"
-            );
-        }
         TraceEvent::Complete { cat, name, start } => {
             let dur = at.saturating_sub(start);
             let _ = write!(
@@ -97,9 +85,7 @@ fn instant_parts(ev: TraceEvent) -> (&'static str, String) {
             format!("\"va\":{va},\"reason\":\"{reason}\""),
         ),
         TraceEvent::IcDenied { addr } => ("ic_denied", format!("\"addr\":{addr}")),
-        TraceEvent::Begin { .. } | TraceEvent::End { .. } | TraceEvent::Complete { .. } => {
-            unreachable!("span events are rendered by write_event")
-        }
+        TraceEvent::Complete { .. } => unreachable!("spans are rendered by write_event"),
     }
 }
 
@@ -109,31 +95,14 @@ struct SpanAgg {
     total: u64,
 }
 
-/// Renders a plain-text summary: the top `n` spans by total cycles
-/// (aggregated over `Begin`/`End` pairs and `Complete` events), followed
-/// by instant-event counts. Deterministic: ties break on name order.
+/// Renders a plain-text summary: the top `n` spans by total cycles,
+/// followed by instant-event counts. Deterministic: ties break on name
+/// order.
 pub fn summary_top_n(tracer: &Tracer, n: usize) -> String {
     let mut spans: BTreeMap<(&'static str, &'static str), SpanAgg> = BTreeMap::new();
     let mut instants: BTreeMap<&'static str, u64> = BTreeMap::new();
-    // Per-process stacks of open Begin spans.
-    let mut open: BTreeMap<u64, Vec<(&'static str, &'static str, u64)>> = BTreeMap::new();
     for r in tracer.records() {
         match r.ev {
-            TraceEvent::Begin { cat, name, .. } => {
-                open.entry(r.proc_id).or_default().push((cat, name, r.at));
-            }
-            TraceEvent::End { cat, name } => {
-                // Pop the innermost matching span; unmatched Ends (span
-                // opened before the ring's oldest record) are dropped.
-                if let Some(stack) = open.get_mut(&r.proc_id) {
-                    if let Some(pos) = stack.iter().rposition(|&(c, s, _)| c == cat && s == name) {
-                        let (_, _, start) = stack.remove(pos);
-                        let agg = spans.entry((cat, name)).or_default();
-                        agg.count += 1;
-                        agg.total += r.at.saturating_sub(start);
-                    }
-                }
-            }
             TraceEvent::Complete { cat, name, start } => {
                 let agg = spans.entry((cat, name)).or_default();
                 agg.count += 1;
@@ -328,14 +297,6 @@ mod tests {
         let mut t = Tracer::new();
         t.enable(64);
         t.cur_proc = 1;
-        t.emit(
-            100,
-            TraceEvent::Begin {
-                cat: "trap",
-                name: "syscall",
-                arg: 5,
-            },
-        );
         t.emit(120, TraceEvent::SyscallDispatch { num: 5 });
         t.emit(
             400,
@@ -347,9 +308,10 @@ mod tests {
         );
         t.emit(
             500,
-            TraceEvent::End {
-                cat: "trap",
-                name: "syscall",
+            TraceEvent::Complete {
+                cat: "syscall",
+                name: "sys.open",
+                start: 100,
             },
         );
         t
@@ -362,8 +324,6 @@ mod tests {
         let j2 = chrome_trace_json(&t);
         assert_eq!(j1, j2);
         assert!(j1.starts_with("{\"traceEvents\":["));
-        assert!(j1.contains("\"ph\":\"B\""));
-        assert!(j1.contains("\"ph\":\"E\""));
         assert!(j1.contains("\"ph\":\"X\""));
         assert!(j1.contains("\"ph\":\"i\""));
         assert!(j1.contains("\"dur\":250"));
@@ -387,26 +347,11 @@ mod tests {
     fn summary_aggregates_spans_and_instants() {
         let t = sample_tracer();
         let s = summary_top_n(&t, 10);
-        assert!(s.contains("trap:syscall"), "{s}");
+        assert!(s.contains("syscall:sys.open"), "{s}");
         assert!(s.contains("kpath:open"), "{s}");
         assert!(s.contains("syscall_dispatch"), "{s}");
-        // trap:syscall span = 400 cycles total.
+        // syscall:sys.open span = 400 cycles total.
         assert!(s.contains("400"), "{s}");
-    }
-
-    #[test]
-    fn unmatched_end_is_ignored() {
-        let mut t = Tracer::new();
-        t.enable(8);
-        t.emit(
-            50,
-            TraceEvent::End {
-                cat: "trap",
-                name: "syscall",
-            },
-        );
-        let s = summary_top_n(&t, 5);
-        assert!(!s.contains("trap:syscall"));
     }
 
     fn sample_profiler() -> CycleProfiler {
@@ -415,7 +360,7 @@ mod tests {
         p.on_charge(0, 0, 11); // root/boot
         p.push(Domain::Syscall, "open");
         p.on_charge(1, 0, 100);
-        p.push_leaf("kpath.open");
+        p.push(p.current_domain(), "kpath.open");
         p.on_charge(1, 0, 7);
         p.pop();
         p.pop();

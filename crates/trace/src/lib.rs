@@ -10,9 +10,9 @@
 //!   [`Record`] carries the cycle timestamp and the current process id;
 //!   [`TraceEvent`] covers traps, syscalls, page faults, PTE updates,
 //!   SVA-OS operations, ghost-page lifecycle, swap, context switches and
-//!   security denials, plus hierarchical spans (trap → syscall → kernel
-//!   path → SVA op) from which per-mechanism cycle attribution falls out by
-//!   subtraction.
+//!   security denials, plus one complete span per closed instrumentation
+//!   scope (syscall → kernel path / trap / SVA op), the same regions the
+//!   cycle profiler attributes.
 //! * [`FlightRecorder`] — an always-on bounded ring of [`DeniedOp`]s: the
 //!   security audit trail for MMU rejections, CFI violations, refused
 //!   signal dispatches and swap-integrity failures, with full context
@@ -45,8 +45,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
 /// One structured trace event. Variants are either *instants* (a point in
-/// time) or *span markers* ([`TraceEvent::Begin`]/[`TraceEvent::End`]/
-/// [`TraceEvent::Complete`]) grouping the instants into a hierarchy.
+/// time) or [`TraceEvent::Complete`] spans, one per closed instrumentation
+/// scope, grouping the instants into a hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// Trap taken (syscall, page fault, interrupt). `detail` is the
@@ -135,27 +135,11 @@ pub enum TraceEvent {
         /// The refused handler address.
         addr: u64,
     },
-    /// Span open (Chrome "B").
-    Begin {
-        /// Category ("trap", "syscall", "kpath", "sva").
-        cat: &'static str,
-        /// Span name.
-        name: &'static str,
-        /// Free payload (syscall number, address, …; 0 if unused).
-        arg: u64,
-    },
-    /// Span close (Chrome "E"); must pair with the innermost open span of
-    /// the same process.
-    End {
-        /// Category of the span being closed.
-        cat: &'static str,
-        /// Name of the span being closed.
-        name: &'static str,
-    },
     /// Self-contained span (Chrome "X"): started at `start`, ends at the
     /// record timestamp.
     Complete {
-        /// Category ("kpath", "sva").
+        /// Category: the scope's profiler domain key ("syscall", "sva",
+        /// "trap", …), or "kpath" for a kernel-path leaf.
         cat: &'static str,
         /// Span name.
         name: &'static str,
@@ -327,6 +311,13 @@ impl Tracer {
     /// No-op when disabled.
     #[inline]
     pub fn emit(&mut self, at: u64, ev: TraceEvent) {
+        self.emit_for(self.cur_proc, at, ev);
+    }
+
+    /// Emits an event at cycle `at`, tagged with process `proc_id` (a span
+    /// closes under the process that opened it). No-op when disabled.
+    #[inline]
+    pub fn emit_for(&mut self, proc_id: u64, at: u64, ev: TraceEvent) {
         if !self.enabled {
             return;
         }
@@ -334,11 +325,7 @@ impl Tracer {
             self.records.pop_front();
             self.dropped += 1;
         }
-        self.records.push_back(Record {
-            at,
-            proc_id: self.cur_proc,
-            ev,
-        });
+        self.records.push_back(Record { at, proc_id, ev });
     }
 
     /// The retained records, oldest first.

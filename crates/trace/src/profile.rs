@@ -18,12 +18,12 @@
 //! branch, and no state changes — profiler-off runs are bit-identical to
 //! runs on a binary without the profiler.
 //!
-//! Frames are pushed/popped at lexically structured scopes in the kernel
-//! and SVA layers (syscall dispatch, page-fault service, swap paths,
-//! individual charge statements). Charges that arrive with the stack empty
-//! of user frames fall into the root node (`Domain::Boot`, label "boot") —
-//! boot, mkfs, and harness glue — so conservation never depends on
-//! complete coverage.
+//! Frames are pushed and popped only by `vg_machine`'s instrumentation
+//! scopes in the kernel and SVA layers (syscall dispatch, page-fault
+//! service, swap paths, individual charge statements). Charges that arrive
+//! with the stack empty of user frames fall into the root node
+//! (`Domain::Boot`, label "boot") — boot, mkfs, and harness glue — so
+//! conservation never depends on complete coverage.
 
 use std::collections::BTreeMap;
 
@@ -232,18 +232,6 @@ impl CycleProfiler {
         self.stack.push(node);
     }
 
-    /// Pushes a leaf frame inheriting the current frame's domain — used by
-    /// generic kernel-path charges so they show up as named flamegraph
-    /// leaves while counting toward whatever domain encloses them.
-    #[inline]
-    pub fn push_leaf(&mut self, label: &'static str) {
-        if !self.enabled {
-            return;
-        }
-        let domain = self.current_domain();
-        self.push(domain, label);
-    }
-
     /// Pops the innermost frame. No-op when disabled or already at root.
     #[inline]
     pub fn pop(&mut self) {
@@ -439,7 +427,7 @@ mod tests {
         p.on_charge(0, 0, 10); // root
         p.push(Domain::Syscall, "open");
         p.on_charge(1, 0, 100);
-        p.push_leaf("kpath.open");
+        p.push(p.current_domain(), "kpath.open");
         p.on_charge(1, 0, 7); // inherits Syscall
         p.pop();
         p.pop();
