@@ -1188,8 +1188,7 @@ impl System {
                 self.abort_forked_child(child_pid);
                 return ENOMEM;
             };
-            let data = self.machine.phys.read_frame(*ppfn);
-            self.machine.phys.write_frame(frame, &data);
+            self.machine.phys.copy_frame(*ppfn, frame);
             if self
                 .vm
                 .sva_map_page(

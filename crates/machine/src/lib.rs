@@ -8,7 +8,7 @@
 //!   user space, the 512 GiB ghost partition at `0xffffff00_00000000`,
 //!   kernel space at `0xffffff80_00000000`, the SVA-internal region, and the
 //!   exact load/store masking rule the instrumentation inserts.
-//! * [`phys`] — sparse physical memory addressed by page frame number.
+//! * [`phys`] — physical memory: a frame table indexed by page frame number.
 //! * [`pte`] — 64-bit page table entries with present/write/user/NX bits.
 //! * [`mmu`] — a 4-level page walker over page tables stored *in* simulated
 //!   physical memory, with a small TLB model.
@@ -125,6 +125,11 @@ pub struct Machine {
     /// Per-core parked state, one slot per core; the active core's slot
     /// holds a reset placeholder while its real state lives in `cpu`/`mmu`.
     parked: Vec<(Cpu, Mmu)>,
+    /// TLB statistics summed over the parked cores, recomputed by
+    /// [`switch_cpu`](Self::switch_cpu). A parked core's statistics cannot
+    /// change (shootdown flushes are not counted), so the per-charge
+    /// publish only has to add the active core's.
+    parked_tlb: TlbStats,
     /// Cycles of work performed *on each core*. The global [`clock`]
     /// remains the single total-work timeline (Σ `cpu_clocks` == clock,
     /// every charge lands on exactly one core); SMP elapsed time for a
@@ -200,6 +205,7 @@ impl Machine {
             byte_granular_bus: config.byte_granular_bus,
             cur_cpu: 0,
             parked: (0..cpus).map(|_| (Cpu::new(), Mmu::new())).collect(),
+            parked_tlb: TlbStats::default(),
             cpu_clocks: vec![0; cpus],
         }
     }
@@ -244,9 +250,16 @@ impl Machine {
         std::mem::swap(&mut self.cpu, &mut self.parked[target].0);
         std::mem::swap(&mut self.mmu, &mut self.parked[target].1);
         self.cur_cpu = target;
-        // The TLB gauges are per-core; republish so the registry reflects
-        // the newly active core's statistics immediately.
-        self.sync_tlb_counters();
+        let mut parked = TlbStats::default();
+        for (i, (_, mmu)) in self.parked.iter().enumerate() {
+            if i != target {
+                parked += mmu.stats();
+            }
+        }
+        self.parked_tlb = parked;
+        // The TLB gauges are per-core; republish every core so the registry
+        // reflects the newly active core's statistics immediately.
+        self.publish_tlb_all();
     }
 
     /// Charges `cycles` to the active core. Together with
@@ -310,33 +323,48 @@ impl Machine {
         }
     }
 
-    /// Publishes each core's TLB statistics into the metrics registry under
-    /// a per-CPU label, refreshes the aggregate gauge as the *sum over all
-    /// cores*, and mirrors the aggregate into [`Counters`] as a
-    /// read-through view for existing consumers. Called on every `charge`;
-    /// also callable directly after uncharged translations (e.g. straight
-    /// `mmu.translate` probes).
+    /// Publishes the TLB statistics into the metrics registry: each core's
+    /// under a per-CPU label, and the aggregate gauge as the *sum over all
+    /// cores*, mirrored into [`Counters`] as a read-through view for
+    /// existing consumers. Called on every `charge`; also callable directly
+    /// after uncharged translations (e.g. straight `mmu.translate` probes).
+    ///
+    /// O(1) in the core count: only the active core's statistics can have
+    /// moved since the last publish, so only its gauge is rewritten and the
+    /// aggregate is the cached parked-core sum plus the active core. The
+    /// full per-core publish runs on the first call and on every
+    /// [`switch_cpu`](Self::switch_cpu).
     #[inline]
     pub fn sync_tlb_counters(&mut self) {
-        let n = self.parked.len();
-        let mut hits = [0u64; 3];
-        let mut misses = [0u64; 3];
-        let mut evictions = 0u64;
-        for i in 0..n {
+        if self.metrics.tlb_per_cpu().len() != self.parked.len() {
+            self.publish_tlb_all();
+            return;
+        }
+        let s = self.mmu.stats();
+        self.metrics
+            .set_tlb_cpu(self.cur_cpu, s.hits, s.misses, s.evictions);
+        self.publish_tlb_total(s);
+    }
+
+    /// Publishes every core's gauge, then the aggregate.
+    fn publish_tlb_all(&mut self) {
+        for (i, (_, mmu)) in self.parked.iter().enumerate() {
             let s = if i == self.cur_cpu {
                 self.mmu.stats()
             } else {
-                self.parked[i].1.stats()
+                mmu.stats()
             };
             self.metrics.set_tlb_cpu(i, s.hits, s.misses, s.evictions);
-            for k in 0..3 {
-                hits[k] += s.hits[k];
-                misses[k] += s.misses[k];
-            }
-            evictions += s.evictions;
         }
-        self.metrics.set_tlb(hits, misses, evictions);
-        let t = self.metrics.tlb();
+        self.publish_tlb_total(self.mmu.stats());
+    }
+
+    /// Publishes the aggregate gauge (parked sum + `active`) and mirrors it
+    /// into [`Counters`].
+    fn publish_tlb_total(&mut self, active: TlbStats) {
+        let mut t = self.parked_tlb;
+        t += active;
+        self.metrics.set_tlb(t.hits, t.misses, t.evictions);
         self.counters.tlb_hits = t.hits;
         self.counters.tlb_misses = t.misses;
         self.counters.tlb_evictions = t.evictions;

@@ -8,7 +8,11 @@
 use crate::layout::{PAddr, Pfn, VAddr, Vpn};
 use crate::phys::PhysMem;
 use crate::pte::{PageTableLevel, Pte, PteFlags};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+#[cfg(test)]
+mod oracle;
 
 /// Kind of memory access, for permission checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,6 +75,169 @@ struct TlbEntry {
     user_path: bool,
 }
 
+/// Hasher for TLB lookups: one folded 64×64→128-bit multiply per key.
+/// Fixed (no per-process random seed), so TLB behaviour cannot depend on
+/// the host, and far cheaper than SipHash for a single integer key. Vpns
+/// chosen to collide can only slow the host: the index never holds more
+/// than the TLB capacity, and hashing never changes which entry is hit or
+/// evicted.
+#[derive(Debug, Default, Clone, Copy)]
+struct VpnHasher(u64);
+
+impl Hasher for VpnHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let p = u128::from(self.0 ^ x) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+}
+
+/// End-of-list marker for [`Tlb`] links.
+const NIL: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy)]
+struct TlbSlot {
+    vpn: Vpn,
+    entry: TlbEntry,
+    /// Next slot toward the least recently used end.
+    older: u32,
+    /// Next slot toward the most recently used end.
+    newer: u32,
+}
+
+/// The TLB's entries in exact LRU order: a slab of slots threaded on an
+/// intrusive doubly linked recency list, plus a vpn → slot index. Lookup,
+/// refresh, insert, eviction and flush of one entry are all O(1).
+#[derive(Debug)]
+struct Tlb {
+    index: HashMap<Vpn, u32, BuildHasherDefault<VpnHasher>>,
+    slots: Vec<TlbSlot>,
+    /// Slots released by [`Tlb::remove`], reused before the slab grows.
+    free: Vec<u32>,
+    /// Least recently used slot.
+    oldest: u32,
+    /// Most recently used slot.
+    newest: u32,
+}
+
+impl Tlb {
+    fn new() -> Self {
+        Tlb {
+            index: HashMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Looks `vpn` up and, on a hit, makes it the most recently used entry.
+    fn touch(&mut self, vpn: Vpn) -> Option<TlbEntry> {
+        let i = *self.index.get(&vpn)?;
+        if i != self.newest {
+            self.unlink(i);
+            self.link_newest(i);
+        }
+        Some(self.slots[i as usize].entry)
+    }
+
+    /// Inserts `vpn` (which must be absent) as the most recently used entry.
+    fn insert(&mut self, vpn: Vpn, entry: TlbEntry) {
+        let slot = TlbSlot {
+            vpn,
+            entry,
+            older: NIL,
+            newer: NIL,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.link_newest(i);
+        self.index.insert(vpn, i);
+    }
+
+    /// Drops `vpn` if present.
+    fn remove(&mut self, vpn: Vpn) {
+        if let Some(i) = self.index.remove(&vpn) {
+            self.unlink(i);
+            self.free.push(i);
+        }
+    }
+
+    /// Drops the least recently used entry; false if the TLB is empty.
+    fn evict_oldest(&mut self) -> bool {
+        if self.oldest == NIL {
+            return false;
+        }
+        self.remove(self.slots[self.oldest as usize].vpn);
+        true
+    }
+
+    fn clear(&mut self) {
+        self.index.clear();
+        self.slots.clear();
+        self.free.clear();
+        self.oldest = NIL;
+        self.newest = NIL;
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let TlbSlot { older, newer, .. } = self.slots[i as usize];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n as usize].older = older,
+        }
+    }
+
+    fn link_newest(&mut self, i: u32) {
+        let prev = self.newest;
+        let slot = &mut self.slots[i as usize];
+        slot.older = prev;
+        slot.newer = NIL;
+        match prev {
+            NIL => self.oldest = i,
+            p => self.slots[p as usize].newer = i,
+        }
+        self.newest = i;
+    }
+
+    /// Resident vpns from least to most recently used.
+    #[cfg(test)]
+    fn lru_order(&self) -> Vec<Vpn> {
+        let mut out = Vec::with_capacity(self.len());
+        let mut i = self.oldest;
+        while i != NIL {
+            out.push(self.slots[i as usize].vpn);
+            i = self.slots[i as usize].newer;
+        }
+        out
+    }
+}
+
 /// Capacity-eviction policy for the TLB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TlbPolicy {
@@ -106,20 +273,28 @@ impl TlbStats {
     }
 }
 
+impl std::ops::AddAssign for TlbStats {
+    fn add_assign(&mut self, other: TlbStats) {
+        for k in 0..3 {
+            self.hits[k] += other.hits[k];
+            self.misses[k] += other.misses[k];
+        }
+        self.evictions += other.evictions;
+    }
+}
+
 /// MMU state: the active root table and a bounded TLB.
 ///
-/// The TLB keeps an LRU recency order as a tick-stamped side index; a
-/// translation hit refreshes the entry's stamp, and capacity eviction under
-/// [`TlbPolicy::Lru`] drops only the stalest entry. Statistics are counted
-/// per [`AccessKind`] and never affect charged cycles — the cost model
-/// charges translations identically whether they hit or miss.
+/// The TLB keeps its entries in exact LRU order on an intrusive recency
+/// list; a translation hit makes the entry the most recently used, and
+/// capacity eviction under [`TlbPolicy::Lru`] drops only the stalest
+/// entry. Statistics are counted per [`AccessKind`] and never affect
+/// charged cycles — the cost model charges translations identically
+/// whether they hit or miss.
 #[derive(Debug)]
 pub struct Mmu {
     root: Option<Pfn>,
-    tlb: HashMap<Vpn, (TlbEntry, u64)>,
-    /// Recency index: tick → vpn, oldest first. Ticks are unique.
-    order: BTreeMap<u64, Vpn>,
-    tick: u64,
+    tlb: Tlb,
     capacity: usize,
     policy: TlbPolicy,
     stats: TlbStats,
@@ -149,9 +324,7 @@ impl Mmu {
         assert!(capacity > 0, "TLB capacity must be non-zero");
         Mmu {
             root: None,
-            tlb: HashMap::new(),
-            order: BTreeMap::new(),
-            tick: 0,
+            tlb: Tlb::new(),
             capacity,
             policy,
             stats: TlbStats::default(),
@@ -171,15 +344,12 @@ impl Mmu {
 
     /// Invalidates one page translation (like `invlpg`).
     pub fn flush_page(&mut self, vpn: Vpn) {
-        if let Some((_, tick)) = self.tlb.remove(&vpn) {
-            self.order.remove(&tick);
-        }
+        self.tlb.remove(vpn);
     }
 
     /// Invalidates the whole TLB.
     pub fn flush_all(&mut self) {
         self.tlb.clear();
-        self.order.clear();
     }
 
     /// Current TLB statistics.
@@ -195,11 +365,6 @@ impl Mmu {
     /// Clears hit/miss/eviction statistics.
     pub fn reset_stats(&mut self) {
         self.stats = TlbStats::default();
-    }
-
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
     }
 
     /// Translates `va` for `access` at the given privilege.
@@ -218,17 +383,12 @@ impl Mmu {
         user: bool,
     ) -> Result<PAddr, TranslateError> {
         let vpn = va.vpn();
-        let entry = if let Some(&(e, old_tick)) = self.tlb.get(&vpn) {
+        let entry = if let Some(e) = self.tlb.touch(vpn) {
             self.stats.hits[access.index()] += 1;
-            // Refresh recency.
-            self.order.remove(&old_tick);
-            let tick = self.next_tick();
-            self.order.insert(tick, vpn);
-            self.tlb.insert(vpn, (e, tick));
             e
         } else {
             self.stats.misses[access.index()] += 1;
-            let e = self.walk(phys, va)?;
+            let e = walk(self.root, phys, va)?;
             if self.tlb.len() >= self.capacity {
                 match self.policy {
                     TlbPolicy::ClearAll => {
@@ -236,67 +396,75 @@ impl Mmu {
                         self.flush_all();
                     }
                     TlbPolicy::Lru => {
-                        if let Some((_, oldest)) = self.order.pop_first() {
-                            self.tlb.remove(&oldest);
+                        if self.tlb.evict_oldest() {
                             self.stats.evictions += 1;
                         }
                     }
                 }
             }
-            let tick = self.next_tick();
-            self.order.insert(tick, vpn);
-            self.tlb.insert(vpn, (e, tick));
+            self.tlb.insert(vpn, e);
             e
         };
-        if user && !entry.user_path {
-            return Err(TranslateError::Protection { access });
-        }
-        match access {
-            AccessKind::Read => {}
-            AccessKind::Write => {
-                if !entry.leaf.writable() {
-                    return Err(TranslateError::Protection { access });
-                }
-            }
-            AccessKind::Execute => {
-                if entry.leaf.no_execute() {
-                    return Err(TranslateError::Protection { access });
-                }
-            }
-        }
-        Ok(PAddr(
-            entry.pfn.0 * crate::layout::PAGE_SIZE + va.page_offset(),
-        ))
+        check_access(entry, va, access, user)
     }
 
     /// Performs a full walk without consulting or filling the TLB. Returns
     /// the leaf PTE — used by `vg-core` for inspection.
     pub fn walk_leaf(&self, phys: &PhysMem, va: VAddr) -> Result<Pte, TranslateError> {
-        self.walk(phys, va).map(|e| e.leaf)
+        walk(self.root, phys, va).map(|e| e.leaf)
     }
+}
 
-    fn walk(&self, phys: &PhysMem, va: VAddr) -> Result<TlbEntry, TranslateError> {
-        let mut table = self.root.ok_or(TranslateError::NoRoot)?;
-        let mut user_path = true;
-        for level in PageTableLevel::WALK {
-            let idx = level.index(va.0);
-            let raw = phys.read_u64(table, idx * 8);
-            let pte = Pte(raw);
-            if !pte.present() {
-                return Err(TranslateError::NotMapped { level });
-            }
-            user_path &= pte.user();
-            if level == PageTableLevel::L1 {
-                return Ok(TlbEntry {
-                    pfn: pte.pfn(),
-                    leaf: pte,
-                    user_path,
-                });
-            }
-            table = pte.pfn();
-        }
-        unreachable!("walk covers all levels")
+/// Applies a translation's permission checks to a (cached or walked) entry.
+fn check_access(
+    entry: TlbEntry,
+    va: VAddr,
+    access: AccessKind,
+    user: bool,
+) -> Result<PAddr, TranslateError> {
+    if user && !entry.user_path {
+        return Err(TranslateError::Protection { access });
     }
+    match access {
+        AccessKind::Read => {}
+        AccessKind::Write => {
+            if !entry.leaf.writable() {
+                return Err(TranslateError::Protection { access });
+            }
+        }
+        AccessKind::Execute => {
+            if entry.leaf.no_execute() {
+                return Err(TranslateError::Protection { access });
+            }
+        }
+    }
+    Ok(PAddr(
+        entry.pfn.0 * crate::layout::PAGE_SIZE + va.page_offset(),
+    ))
+}
+
+/// Walks the tables under `root` for `va`.
+fn walk(root: Option<Pfn>, phys: &PhysMem, va: VAddr) -> Result<TlbEntry, TranslateError> {
+    let mut table = root.ok_or(TranslateError::NoRoot)?;
+    let mut user_path = true;
+    for level in PageTableLevel::WALK {
+        let idx = level.index(va.0);
+        let raw = phys.read_u64(table, idx * 8);
+        let pte = Pte(raw);
+        if !pte.present() {
+            return Err(TranslateError::NotMapped { level });
+        }
+        user_path &= pte.user();
+        if level == PageTableLevel::L1 {
+            return Ok(TlbEntry {
+                pfn: pte.pfn(),
+                leaf: pte,
+                user_path,
+            });
+        }
+        table = pte.pfn();
+    }
+    unreachable!("walk covers all levels")
 }
 
 /// Helper used by tests and the kernel's page-table construction: writes a

@@ -1,19 +1,23 @@
 //! Simulated physical memory.
 //!
-//! A fixed-size pool of 4 KiB frames with a free list. Frames are allocated
-//! lazily (backing storage appears on first touch) so large machines are
-//! cheap to construct. All kernel, user, ghost and page-table data lives
-//! here — page tables are real bytes in these frames, walked by the MMU.
+//! A fixed-size pool of 4 KiB frames with a free list. Backing storage is
+//! allocated (zeroed) when a frame is allocated and released when it is
+//! freed, so only live frames cost host memory; the frame table itself is
+//! one pointer per frame, indexed by frame number. All kernel, user, ghost
+//! and page-table data lives here — page tables are real bytes in these
+//! frames, walked by the MMU.
 
 use crate::layout::{PAddr, Pfn, PAGE_SIZE};
-use std::collections::HashMap;
 
-/// Sparse physical memory.
+/// One frame's bytes.
+type Frame = [u8; PAGE_SIZE as usize];
+
+/// Physical memory: a frame table indexed by frame number.
 #[derive(Debug)]
 pub struct PhysMem {
-    frames: HashMap<u64, Box<[u8]>>,
+    /// Slot `pfn` holds the frame's bytes while it is allocated.
+    frames: Vec<Option<Box<Frame>>>,
     free: Vec<u64>,
-    total_frames: usize,
 }
 
 impl PhysMem {
@@ -23,15 +27,14 @@ impl PhysMem {
         // descending numbers so allocation order is deterministic.
         let free = (0..total_frames as u64).rev().collect();
         PhysMem {
-            frames: HashMap::new(),
+            frames: (0..total_frames).map(|_| None).collect(),
             free,
-            total_frames,
         }
     }
 
     /// Total frame count.
     pub fn total_frames(&self) -> usize {
-        self.total_frames
+        self.frames.len()
     }
 
     /// Number of frames currently free.
@@ -42,8 +45,11 @@ impl PhysMem {
     /// Allocates a zeroed frame, or `None` if memory is exhausted.
     pub fn alloc_frame(&mut self) -> Option<Pfn> {
         let pfn = self.free.pop()?;
-        self.frames
-            .insert(pfn, vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+        let zeroed: Box<Frame> = vec![0u8; PAGE_SIZE as usize]
+            .into_boxed_slice()
+            .try_into()
+            .expect("page-sized");
+        self.frames[pfn as usize] = Some(zeroed);
         Some(Pfn(pfn))
     }
 
@@ -51,16 +57,21 @@ impl PhysMem {
     ///
     /// # Panics
     ///
-    /// Panics if the frame was not allocated (double free).
+    /// Panics if the frame was not allocated (double free) or lies outside
+    /// this memory.
     pub fn free_frame(&mut self, pfn: Pfn) {
-        let existed = self.frames.remove(&pfn.0).is_some();
+        let slot = self
+            .frames
+            .get_mut(pfn.0 as usize)
+            .unwrap_or_else(|| panic!("free of out-of-range {pfn}"));
+        let existed = slot.take().is_some();
         assert!(existed, "double free of {pfn}");
         self.free.push(pfn.0);
     }
 
-    /// Whether `pfn` is currently allocated.
+    /// Whether `pfn` is currently allocated (false for out-of-range frames).
     pub fn is_allocated(&self, pfn: Pfn) -> bool {
-        self.frames.contains_key(&pfn.0)
+        matches!(self.frames.get(pfn.0 as usize), Some(Some(_)))
     }
 
     /// Fills an allocated frame with zeros (used by `allocgm`/`freegm`,
@@ -70,16 +81,18 @@ impl PhysMem {
         f.fill(0);
     }
 
-    fn frame(&self, pfn: Pfn) -> &[u8] {
-        self.frames
-            .get(&pfn.0)
-            .unwrap_or_else(|| panic!("access to unallocated {pfn}"))
+    fn frame(&self, pfn: Pfn) -> &Frame {
+        match self.frames.get(pfn.0 as usize) {
+            Some(Some(f)) => f,
+            _ => panic!("access to unallocated {pfn}"),
+        }
     }
 
-    fn frame_mut(&mut self, pfn: Pfn) -> &mut [u8] {
-        self.frames
-            .get_mut(&pfn.0)
-            .unwrap_or_else(|| panic!("access to unallocated {pfn}"))
+    fn frame_mut(&mut self, pfn: Pfn) -> &mut Frame {
+        match self.frames.get_mut(pfn.0 as usize) {
+            Some(Some(f)) => f,
+            _ => panic!("access to unallocated {pfn}"),
+        }
     }
 
     /// Reads `buf.len()` bytes starting at frame `pfn` offset `off`.
@@ -150,6 +163,17 @@ impl PhysMem {
             "frame write must be page-sized"
         );
         self.frame_mut(pfn).copy_from_slice(data);
+    }
+
+    /// Copies frame `src`'s contents over frame `dst` without a heap
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either frame is unallocated.
+    pub fn copy_frame(&mut self, src: Pfn, dst: Pfn) {
+        let data: Frame = *self.frame(src);
+        *self.frame_mut(dst) = data;
     }
 }
 
@@ -223,5 +247,54 @@ mod tests {
         let data = vec![7u8; PAGE_SIZE as usize];
         m.write_frame(a, &data);
         assert_eq!(m.read_frame(a), data);
+    }
+
+    #[test]
+    fn reallocated_frame_reads_zero() {
+        // One frame, so the re-allocation must hand back the same pfn: no
+        // stale bytes may cross from the old owner to the new one.
+        let mut m = PhysMem::new(1);
+        let a = m.alloc_frame().unwrap();
+        m.write_frame(a, &[0x5a; PAGE_SIZE as usize]);
+        m.free_frame(a);
+        let b = m.alloc_frame().unwrap();
+        assert_eq!(a, b);
+        assert!(m.read_frame(b).iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn out_of_range_pfn_is_not_allocated() {
+        let mut m = PhysMem::new(2);
+        m.alloc_frame().unwrap();
+        m.alloc_frame().unwrap();
+        assert!(!m.is_allocated(Pfn(2)));
+        assert!(!m.is_allocated(Pfn(u64::MAX)));
+    }
+
+    #[test]
+    #[should_panic(expected = "pfn:0x7")]
+    fn free_out_of_range_panics_naming_pfn() {
+        let mut m = PhysMem::new(2);
+        m.free_frame(Pfn(7));
+    }
+
+    #[test]
+    fn copy_frame_duplicates_contents() {
+        let mut m = PhysMem::new(3);
+        let a = m.alloc_frame().unwrap();
+        let b = m.alloc_frame().unwrap();
+        m.write_bytes(a, 10, b"fork");
+        m.copy_frame(a, b);
+        assert_eq!(m.read_frame(b), m.read_frame(a));
+        m.copy_frame(b, b);
+        assert_eq!(m.read_frame(b), m.read_frame(a));
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unallocated")]
+    fn copy_frame_to_unallocated_panics() {
+        let mut m = PhysMem::new(2);
+        let a = m.alloc_frame().unwrap();
+        m.copy_frame(a, Pfn(1));
     }
 }
